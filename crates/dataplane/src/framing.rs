@@ -80,23 +80,45 @@ impl From<io::Error> for FramingError {
     }
 }
 
-/// Writes one frame: 4-byte big-endian length prefix, then the payload.
+/// Appends one frame to `out`: a length prefix, then whatever `encode`
+/// appends, with the prefix patched afterwards. The payload is encoded in
+/// place, so a reused `out` frames messages without copying or allocating,
+/// and any number of frames can be appended before one write sends them all.
 ///
-/// The caller decides buffering; `soar-serve` wraps its sockets in
-/// `BufWriter` and flushes per response batch.
-pub fn write_frame<W: Write + ?Sized>(w: &mut W, payload: &[u8]) -> io::Result<()> {
-    let len = u32::try_from(payload.len()).map_err(|_| {
-        io::Error::new(
+/// A payload above `u32::MAX` bytes is an `InvalidInput` error and leaves
+/// `out` as it was.
+pub fn append_frame(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) -> io::Result<()> {
+    let start = out.len();
+    out.extend_from_slice(&[0; LEN_PREFIX_BYTES]);
+    encode(out);
+    let payload_start = start + LEN_PREFIX_BYTES;
+    let Ok(len) = u32::try_from(out.len() - payload_start) else {
+        out.truncate(start);
+        return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
             "frame payload exceeds u32::MAX bytes",
-        )
-    })?;
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(payload)
+        ));
+    };
+    out[start..payload_start].copy_from_slice(&len.to_be_bytes());
+    Ok(())
+}
+
+/// Writes one frame — 4-byte big-endian length prefix, then the payload — in
+/// a single `write_all`, so a `TCP_NODELAY` socket sends it as one segment
+/// rather than a prefix segment and a payload segment.
+pub fn write_frame<W: Write + ?Sized>(w: &mut W, payload: &[u8]) -> io::Result<()> {
+    let mut frame = Vec::with_capacity(LEN_PREFIX_BYTES + payload.len());
+    append_frame(&mut frame, |out| out.extend_from_slice(payload))?;
+    w.write_all(&frame)
 }
 
 /// Reads one frame into `buf` (cleared and reused across calls — steady-state
 /// reads allocate nothing once `buf` reached the high-water mark).
+///
+/// Every frame costs at least two `read` calls, so socket readers should wrap
+/// the stream in a [`BufReader`](std::io::BufReader): one read syscall then
+/// parses a whole pipelined burst of frames, and a frame larger than the
+/// buffer is read straight into `buf`.
 ///
 /// Returns `Ok(true)` with the payload in `buf`, or `Ok(false)` on a clean
 /// end-of-stream at a frame boundary. Any other shortfall is
@@ -527,6 +549,67 @@ mod tests {
                 max: 64,
             }) => {}
             other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn one_frame_is_one_write_call() {
+        /// Records the length of every `write` call.
+        #[derive(Default)]
+        struct Counting(Vec<usize>);
+        impl Write for Counting {
+            fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+                self.0.push(bytes.len());
+                Ok(bytes.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = Counting::default();
+        write_frame(&mut w, b"payload").unwrap();
+        write_frame(&mut w, b"").unwrap();
+        assert_eq!(w.0, vec![LEN_PREFIX_BYTES + 7, LEN_PREFIX_BYTES]);
+    }
+
+    #[test]
+    fn buffered_reads_parse_bursts_including_frames_larger_than_the_buffer() {
+        const CAP: usize = 64;
+        let big = vec![5u8; CAP * 3 + 7];
+        let mut stream = Vec::new();
+        for payload in [&b"one"[..], &big, b"", b"three", &big, b"last"] {
+            write_frame(&mut stream, payload).unwrap();
+        }
+        let mut r = io::BufReader::with_capacity(CAP, &stream[..]);
+        let mut buf = Vec::new();
+        let mut frames = Vec::new();
+        while read_frame(&mut r, &mut buf, MAX_FRAME_LEN).unwrap() {
+            frames.push(buf.clone());
+        }
+        let want: Vec<Vec<u8>> = vec![
+            b"one".to_vec(),
+            big.clone(),
+            Vec::new(),
+            b"three".to_vec(),
+            big,
+            b"last".to_vec(),
+        ];
+        assert_eq!(frames, want);
+
+        // A torn tail behind a good frame is still typed truncation, whether
+        // it tears the prefix or the payload.
+        let mut good = Vec::new();
+        write_frame(&mut good, b"whole").unwrap();
+        for (tail, missing) in [(&[0u8, 0][..], 2), (&[0, 0, 0, 9, 1, 2][..], 7)] {
+            let mut torn = good.clone();
+            torn.extend_from_slice(tail);
+            let mut r = io::BufReader::with_capacity(CAP, &torn[..]);
+            assert!(read_frame(&mut r, &mut buf, MAX_FRAME_LEN).unwrap());
+            assert_eq!(buf, b"whole");
+            match read_frame(&mut r, &mut buf, MAX_FRAME_LEN) {
+                Err(FramingError::Truncated { missing: m }) => assert_eq!(m, missing),
+                other => panic!("torn tail {tail:?}: {other:?}"),
+            }
         }
     }
 

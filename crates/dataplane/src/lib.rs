@@ -46,7 +46,7 @@ pub mod runtime;
 pub mod wire;
 
 pub use actor::{ActorStats, SwitchActor};
-pub use framing::{read_frame, write_frame, FramingError, MAX_FRAME_LEN};
+pub use framing::{append_frame, read_frame, write_frame, FramingError, MAX_FRAME_LEN};
 pub use runtime::{
     run_inline, run_inline_instance, run_threaded, run_threaded_instance, DataplaneReport,
     DistributedSoarSolver,

@@ -19,8 +19,13 @@ pub struct ServeMetrics {
     pub accepted_conns: AtomicU64,
     /// Well-framed requests read off the wire.
     pub requests: AtomicU64,
-    /// Responses written (including sheds and errors).
+    /// Responses written (including sheds and errors). Counts responses,
+    /// not socket writes.
     pub responses: AtomicU64,
+    /// Socket writes that carried responses. Responses to one dispatch run
+    /// share one write per connection, so `responses / response_flushes` is
+    /// the mean number of responses coalesced into a write.
+    pub response_flushes: AtomicU64,
     /// Churn events applied across all tenants.
     pub events_applied: AtomicU64,
     /// Completed solves.
@@ -37,8 +42,11 @@ pub struct ServeMetrics {
     pub shed_tenant: AtomicU64,
     /// Requests answered with a protocol/semantic error.
     pub errors: AtomicU64,
-    /// Response writes that failed (peer gone mid-flight, or a slow reader
-    /// blew the per-connection write deadline).
+    /// Responses lost to failed writes (peer gone mid-flight, or a slow
+    /// reader blew the per-connection write deadline). This counts
+    /// responses, not writes: one failed write of a coalesced run adds every
+    /// response it carried, and so does each response dropped afterwards
+    /// because the connection was already gone.
     pub io_errors: AtomicU64,
     /// Churn batches answered `duplicate: true` (idempotent-replay dedupe).
     pub duplicate_churns: AtomicU64,
@@ -96,6 +104,7 @@ impl ServeMetrics {
             accepted_conns: c(&self.accepted_conns),
             requests: c(&self.requests),
             responses: c(&self.responses),
+            response_flushes: c(&self.response_flushes),
             events_applied: c(&self.events_applied),
             solves: c(&self.solves),
             sweeps: c(&self.sweeps),
@@ -136,6 +145,9 @@ pub struct MetricsSnapshot {
     pub requests: u64,
     /// Responses written.
     pub responses: u64,
+    /// Socket writes that carried responses.
+    #[serde(default)]
+    pub response_flushes: u64,
     /// Churn events applied.
     pub events_applied: u64,
     /// Solves completed.
@@ -152,7 +164,7 @@ pub struct MetricsSnapshot {
     pub shed_tenant: u64,
     /// Error responses.
     pub errors: u64,
-    /// Failed response writes.
+    /// Responses lost to failed writes.
     pub io_errors: u64,
     /// Deduplicated (replayed) churn batches.
     #[serde(default)]
@@ -261,7 +273,7 @@ impl LatencySummary {
 /// histograms in `m` (same instant, full `_sum`/`_count` resolution).
 pub fn render_prom(snap: &MetricsSnapshot, m: &ServeMetrics) -> String {
     let mut w = PromWriter::new();
-    let counters: [(&str, &str, u64); 17] = [
+    let counters: [(&str, &str, u64); 18] = [
         (
             "soar_serve_conns_total",
             "connections accepted",
@@ -272,6 +284,11 @@ pub fn render_prom(snap: &MetricsSnapshot, m: &ServeMetrics) -> String {
             "soar_serve_responses_total",
             "responses written",
             snap.responses,
+        ),
+        (
+            "soar_serve_response_flushes_total",
+            "socket writes carrying responses",
+            snap.response_flushes,
         ),
         (
             "soar_serve_events_applied_total",
@@ -303,7 +320,7 @@ pub fn render_prom(snap: &MetricsSnapshot, m: &ServeMetrics) -> String {
         ("soar_serve_errors_total", "error responses", snap.errors),
         (
             "soar_serve_io_errors_total",
-            "failed response writes",
+            "responses lost to failed writes",
             snap.io_errors,
         ),
         (
@@ -466,6 +483,7 @@ mod tests {
         let m = ServeMetrics::default();
         add(&m.solves, 9);
         add(&m.events_applied, 123);
+        add(&m.response_flushes, 4);
         m.solve_latency.record(50_000);
         let snap = m.snapshot(
             2,
@@ -480,6 +498,7 @@ mod tests {
         let text = render_prom(&snap, &m);
         assert!(text.contains("soar_serve_solves_total 9\n"));
         assert!(text.contains("soar_serve_events_applied_total 123\n"));
+        assert!(text.contains("soar_serve_response_flushes_total 4\n"));
         assert!(text.contains("soar_serve_queue_depth 2\n"));
         assert!(text.contains("soar_serve_tenant_events_total{tenant=\"3\"} 123\n"));
         assert!(text.contains("# TYPE soar_serve_solve_latency_ns summary"));

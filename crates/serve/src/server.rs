@@ -5,16 +5,39 @@
 //!
 //! ```text
 //!  acceptor ──► one reader thread per connection
-//!                  │  decode + admission control (shed here, never buffer)
+//!                  │  buffered frame reads, decode,
+//!                  │  admission control (shed here, never buffer)
 //!                  ▼
 //!            bounded global queue  ──►  dispatcher thread
-//!                                         │  drain a batch, group by tenant
+//!                                         │  drain a batch, split it into
+//!                                         │  runs at Register/Evict barriers,
+//!                                         │  group each run by tenant
 //!                                         ▼
 //!                                  soar_pool::global().scope(..)
-//!                                    one job per tenant in the batch,
+//!                                    one job per tenant in the run,
 //!                                    each solving on its worker's
 //!                                    persistent warm SolverWorkspace
+//!                                         │  responses appended to each
+//!                                         ▼  connection's pending buffer
+//!                                  dispatcher: one write per connection
 //! ```
+//!
+//! # Socket I/O
+//!
+//! The frame, not the byte, is the unit of socket I/O. Each reader thread
+//! reads through a fixed-capacity [`BufReader`], so one read syscall takes in
+//! a whole pipelined burst of frames, and it wakes the dispatcher only when
+//! its push makes the queue non-empty. Responses to queued work are appended
+//! to a per-connection pending buffer; when `pool.scope` returns, the
+//! dispatcher writes each touched connection's buffer with one `write_all`,
+//! before it handles the next `Register`/`Evict` barrier, so a barrier's reply
+//! always follows every response to the requests ahead of it. A response is
+//! built only after its WAL append returns, so no acknowledgement ever leaves
+//! ahead of its log record. Replies that do not wait for a dispatch run
+//! (metrics, shutdown, sheds, admission errors, barrier replies) are appended
+//! behind whatever is pending and written at once. A write blocked past the
+//! write deadline drops the connection and counts every response it carried
+//! as an `io_error`.
 //!
 //! Per-tenant state is one [`DynamicInstance`] behind a mutex — cheap enough
 //! to keep thousands resident. Solver state is **not** per tenant: all
@@ -48,7 +71,7 @@ use soar_online::{DynamicInstance, OnlineError};
 use soar_topology::builders;
 use soar_topology::load::LoadSpec;
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, Write};
+use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -85,8 +108,10 @@ pub struct ServeConfig {
     /// WAL records between snapshots (`0` snapshots after every batch).
     pub snapshot_every: u64,
     /// Per-connection write deadline: a response write blocked longer than
-    /// this counts as an `io_error` and drops the connection, so one slow
-    /// reader can never head-of-line-block a worker. `None` blocks forever.
+    /// this drops the connection and counts its lost responses as
+    /// `io_errors`, so one slow reader holds up the dispatcher, which writes
+    /// every connection's responses, for at most this long. `None` blocks
+    /// forever.
     pub write_deadline: Option<Duration>,
     /// Bind address for the Prometheus `/metrics` exposition endpoint
     /// (`soar serve --obs-addr`). `None` (the default) serves no HTTP.
@@ -148,32 +173,78 @@ struct TenantState {
     last_seq: u64,
 }
 
-/// One accepted connection. Responses from any thread serialize on `writer`;
-/// `reader` is the same socket, kept for targeted shutdown.
+/// Capacity of the buffered reader on each end of a connection: one read
+/// syscall takes in a pipelined burst of frames, and a frame larger than this
+/// is read straight into the frame buffer.
+const READ_BUF_BYTES: usize = 64 << 10;
+
+/// A connection's pending-response buffer is shrunk back to this capacity
+/// after a flush that grew it beyond, so one large sweep reply does not pin
+/// its memory for the connection's lifetime.
+const PENDING_KEEP_BYTES: usize = 64 << 10;
+
+/// One accepted connection. Every response to it is appended to `out` and
+/// leaves in the order it was appended, so frames never interleave.
 struct Conn {
-    writer: Mutex<TcpStream>,
+    out: Mutex<ConnOut>,
     peer_gone: AtomicBool,
 }
 
+/// The write side of a [`Conn`].
+struct ConnOut {
+    stream: TcpStream,
+    /// Encoded response frames not yet written.
+    pending: Vec<u8>,
+    /// Responses in `pending`.
+    pending_count: u64,
+}
+
 impl Conn {
-    /// Encodes and writes one response frame (single `write_all`, so frames
-    /// from concurrent completions never interleave).
+    /// Appends `resp` to the pending responses without writing: pool workers
+    /// answer queued work this way, and the dispatcher flushes each
+    /// connection once at the end of the run.
+    fn queue(&self, resp: &Response) {
+        let mut out = self.out.lock().expect("connection writer lock poisoned");
+        // A response is bounded far below u32::MAX bytes by the request
+        // caps; were one ever larger, skipping it keeps the stream in sync.
+        if framing::append_frame(&mut out.pending, |b| resp.encode(b)).is_ok() {
+            out.pending_count += 1;
+        }
+    }
+
+    /// Appends `resp` and writes everything pending now — the path for
+    /// replies that do not wait for a dispatch run (metrics, shutdown, sheds,
+    /// admission errors, barrier replies).
     fn send(&self, shared: &Shared, resp: &Response) {
-        let mut frame = Vec::with_capacity(64);
-        frame.extend_from_slice(&[0; framing::LEN_PREFIX_BYTES]);
-        resp.encode(&mut frame);
-        let len = (frame.len() - framing::LEN_PREFIX_BYTES) as u32;
-        frame[..framing::LEN_PREFIX_BYTES].copy_from_slice(&len.to_be_bytes());
-        let mut w = self.writer.lock().unwrap();
-        if w.write_all(&frame).is_err() {
+        self.queue(resp);
+        self.flush(shared);
+    }
+
+    /// Writes every pending response in one `write_all`.
+    fn flush(&self, shared: &Shared) {
+        let mut out = self.out.lock().expect("connection writer lock poisoned");
+        let count = std::mem::take(&mut out.pending_count);
+        if count == 0 {
+            return;
+        }
+        let ConnOut {
+            stream, pending, ..
+        } = &mut *out;
+        let written = !self.peer_gone.load(Ordering::Relaxed) && stream.write_all(pending).is_ok();
+        pending.clear();
+        pending.shrink_to(PENDING_KEEP_BYTES);
+        if written {
+            add(&shared.metrics.responses, count);
+            add(&shared.metrics.response_flushes, 1);
+        } else {
             // Peer gone, or a slow reader filled the socket buffer past the
             // write deadline. Either way the stream may be desynced: count
-            // it, drop the connection cleanly, keep serving everyone else.
-            self.peer_gone.store(true, Ordering::Relaxed);
-            let _ = w.shutdown(std::net::Shutdown::Both);
-            add(&shared.metrics.io_errors, 1);
-        } else {
-            add(&shared.metrics.responses, 1);
+            // the lost responses, drop the connection cleanly, keep serving
+            // everyone else.
+            if !self.peer_gone.swap(true, Ordering::Relaxed) {
+                let _ = stream.shutdown(std::net::Shutdown::Both);
+            }
+            add(&shared.metrics.io_errors, count);
         }
     }
 }
@@ -446,7 +517,11 @@ fn accept_loop(
             .unwrap()
             .push(Arc::downgrade(&read_half));
         let conn = Arc::new(Conn {
-            writer: Mutex::new(stream),
+            out: Mutex::new(ConnOut {
+                stream,
+                pending: Vec::new(),
+                pending_count: 0,
+            }),
             peer_gone: AtomicBool::new(false),
         });
         let id = shared.next_conn.fetch_add(1, Ordering::Relaxed);
@@ -461,13 +536,13 @@ fn accept_loop(
 }
 
 fn reader_loop(stream: &TcpStream, conn: &Arc<Conn>, shared: &Arc<Shared>, addr: SocketAddr) {
-    let mut stream = stream;
+    let mut reader = BufReader::with_capacity(READ_BUF_BYTES, stream);
     let mut buf = Vec::new();
     loop {
         if conn.peer_gone.load(Ordering::Relaxed) {
             break;
         }
-        match framing::read_frame(&mut stream, &mut buf, shared.config.max_frame_len) {
+        match framing::read_frame(&mut reader, &mut buf, shared.config.max_frame_len) {
             Ok(false) => break, // clean disconnect
             Ok(true) => {
                 add(&shared.metrics.requests, 1);
@@ -559,23 +634,11 @@ fn handle_request(conn: &Arc<Conn>, shared: &Arc<Shared>, addr: SocketAddr, req:
     }
 
     // Tenant-targeted requests: resolve the entry for the in-flight gauge.
+    // A tenant not resident yet is queued all the same: a `Register` ahead
+    // of it on this stream may still be waiting in the queue, and the
+    // dispatcher answers `UnknownTenant` if it is still missing by then.
     let tenant = body.tenant().expect("non-tenant requests handled above");
     let gauge = shared.tenants.read().unwrap().get(&tenant).cloned();
-    let is_register = matches!(body, RequestBody::Register { .. });
-    if gauge.is_none() && !is_register {
-        add(&shared.metrics.errors, 1);
-        conn.send(
-            shared,
-            &Response {
-                req_id,
-                body: ResponseBody::Error {
-                    code: ErrorCode::UnknownTenant,
-                    message: format!("tenant {tenant} is not resident"),
-                },
-            },
-        );
-        return;
-    }
     if let Some(entry) = &gauge {
         if entry.inflight.load(Ordering::Relaxed) >= shared.config.tenant_inflight_cap {
             add(&shared.metrics.shed_tenant, 1);
@@ -599,7 +662,7 @@ fn handle_request(conn: &Arc<Conn>, shared: &Arc<Shared>, addr: SocketAddr, req:
         gauge,
         enqueued: Instant::now(),
     };
-    {
+    let was_empty = {
         let mut queue = shared.queue.lock().unwrap();
         // Re-checked under the queue lock: the dispatcher's exit check
         // (queue empty && shutdown) also runs under it, so a request can
@@ -637,8 +700,13 @@ fn handle_request(conn: &Arc<Conn>, shared: &Arc<Shared>, addr: SocketAddr, req:
             entry.inflight.fetch_add(1, Ordering::Relaxed);
         }
         queue.push_back(work);
+        queue.len() == 1
+    };
+    // The dispatcher sleeps only on an empty queue, so only the push that
+    // ends the emptiness needs to wake it; later pushes find it awake.
+    if was_empty {
+        shared.queue_cv.notify_one();
     }
-    shared.queue_cv.notify_one();
 }
 
 /// `Register`/`Evict` mutate the tenant map and order against *every* tenant's
@@ -692,7 +760,11 @@ fn dispatch_loop(shared: &Arc<Shared>) {
             // group runs on one worker, keeping per-tenant FIFO order.
             let mut order: Vec<u64> = Vec::new();
             let mut groups: HashMap<u64, Vec<Work>> = HashMap::new();
+            let mut conns: Vec<Arc<Conn>> = Vec::new();
             let mut push = |w: Work| {
+                if !conns.iter().any(|c| Arc::ptr_eq(c, &w.conn)) {
+                    conns.push(Arc::clone(&w.conn));
+                }
                 let tenant = w.body.tenant().expect("barriers filtered");
                 groups.entry(tenant).or_insert_with(|| {
                     order.push(tenant);
@@ -714,6 +786,11 @@ fn dispatch_loop(shared: &Arc<Shared>) {
                     });
                 }
             });
+            // One write per connection for the whole run, and before the
+            // next barrier: its reply must follow every earlier response.
+            for conn in conns {
+                conn.flush(shared);
+            }
         }
         maybe_snapshot(shared);
     }
@@ -939,9 +1016,12 @@ fn process_tenant_work(shared: &Arc<Shared>, work: Work) {
         .record(enqueued.elapsed().as_nanos() as u64);
     let _work_span = soar_obs::span!("tenant_work");
     let tenant = body.tenant().expect("tenant work");
-    let respond = |body: ResponseBody| conn.send(shared, &Response { req_id, body });
-    // Re-resolve: a same-batch evict (barrier) may have removed the tenant
-    // after admission.
+    // Queued, not written: the dispatcher flushes the run's responses. Each
+    // is built only after its WAL append returned, so no acknowledgement
+    // ever leaves ahead of its log record.
+    let respond = |body: ResponseBody| conn.queue(&Response { req_id, body });
+    // Re-resolve: a barrier since admission may have registered or evicted
+    // the tenant.
     let entry = shared.tenants.read().unwrap().get(&tenant).cloned();
     let Some(entry) = entry else {
         add(&shared.metrics.errors, 1);
@@ -1107,9 +1187,17 @@ fn process_tenant_work(shared: &Arc<Shared>, work: Work) {
 /// CLI, the loadtest harness, and the tests. Supports pipelining: `send` and
 /// `recv` may be driven from two threads via [`Client::split`].
 pub struct Client {
-    stream: TcpStream,
-    buf: Vec<u8>,
-    max_frame_len: usize,
+    /// The receiving side; requests are written to its inner stream.
+    rx: ClientReceiver,
+    /// The encoded request frame, reused across sends.
+    out: Vec<u8>,
+}
+
+/// Encodes `req` as one frame into `out` and sends it with a single write.
+fn send_request(stream: &mut TcpStream, out: &mut Vec<u8>, req: &Request) -> io::Result<()> {
+    out.clear();
+    framing::append_frame(out, |b| req.encode(b))?;
+    stream.write_all(out)
 }
 
 impl Client {
@@ -1118,25 +1206,22 @@ impl Client {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         Ok(Client {
-            stream,
-            buf: Vec::new(),
-            max_frame_len: framing::MAX_FRAME_LEN,
+            rx: ClientReceiver {
+                reader: BufReader::with_capacity(READ_BUF_BYTES, stream),
+                buf: Vec::new(),
+            },
+            out: Vec::new(),
         })
     }
 
     /// Sends one request frame.
     pub fn send(&mut self, req: &Request) -> io::Result<()> {
-        let mut payload = Vec::with_capacity(64);
-        req.encode(&mut payload);
-        framing::write_frame(&mut self.stream, &payload)
+        send_request(self.rx.reader.get_mut(), &mut self.out, req)
     }
 
     /// Receives the next response frame (blocking). `Ok(None)` on clean EOF.
     pub fn recv(&mut self) -> Result<Option<Response>, ClientError> {
-        if !framing::read_frame(&mut self.stream, &mut self.buf, self.max_frame_len)? {
-            return Ok(None);
-        }
-        Ok(Some(Response::decode(&self.buf)?))
+        self.rx.recv()
     }
 
     /// One request, one response — the non-pipelined convenience used by
@@ -1150,27 +1235,27 @@ impl Client {
     /// default of blocking forever). The resilient loadtest path sets this so
     /// a dead server surfaces as a timed-out `Err` instead of a hang.
     pub fn set_read_timeout(&self, dur: Option<Duration>) -> io::Result<()> {
-        self.stream.set_read_timeout(dur)
+        self.rx.reader.get_ref().set_read_timeout(dur)
     }
 
     /// Writes raw bytes to the connection, bypassing request encoding and
     /// framing entirely. This is the chaos-injection escape hatch (torn
     /// frames, garbage payloads); well-behaved clients never need it.
     pub fn send_raw(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.stream.write_all(bytes)
+        self.rx.reader.get_mut().write_all(bytes)
     }
 
     /// Splits into independently-usable send and receive halves (two socket
-    /// handles onto one connection), enabling windowed pipelining.
+    /// handles onto one connection), enabling windowed pipelining. Responses
+    /// already buffered stay with the receiver.
     pub fn split(self) -> io::Result<(ClientSender, ClientReceiver)> {
-        let send_half = self.stream.try_clone()?;
+        let stream = self.rx.reader.get_ref().try_clone()?;
         Ok((
-            ClientSender { stream: send_half },
-            ClientReceiver {
-                stream: self.stream,
-                buf: self.buf,
-                max_frame_len: self.max_frame_len,
+            ClientSender {
+                stream,
+                out: self.out,
             },
+            self.rx,
         ))
     }
 }
@@ -1178,28 +1263,27 @@ impl Client {
 /// The sending half of a split [`Client`].
 pub struct ClientSender {
     stream: TcpStream,
+    out: Vec<u8>,
 }
 
 impl ClientSender {
     /// Sends one request frame.
     pub fn send(&mut self, req: &Request) -> io::Result<()> {
-        let mut payload = Vec::with_capacity(64);
-        req.encode(&mut payload);
-        framing::write_frame(&mut self.stream, &payload)
+        send_request(&mut self.stream, &mut self.out, req)
     }
 }
 
 /// The receiving half of a split [`Client`].
 pub struct ClientReceiver {
-    stream: TcpStream,
+    /// The socket, read through a buffer so one read takes in a burst.
+    reader: BufReader<TcpStream>,
     buf: Vec<u8>,
-    max_frame_len: usize,
 }
 
 impl ClientReceiver {
     /// Receives the next response frame (blocking). `Ok(None)` on clean EOF.
     pub fn recv(&mut self) -> Result<Option<Response>, ClientError> {
-        if !framing::read_frame(&mut self.stream, &mut self.buf, self.max_frame_len)? {
+        if !framing::read_frame(&mut self.reader, &mut self.buf, framing::MAX_FRAME_LEN)? {
             return Ok(None);
         }
         Ok(Some(Response::decode(&self.buf)?))
@@ -1445,7 +1529,9 @@ mod tests {
         let handle = start(ServeConfig::default()).unwrap();
         let mut client = Client::connect(&handle.addr()).unwrap();
         // A well-framed frame full of garbage.
-        framing::write_frame(&mut client.stream, &[0xDE, 0xAD, 0xBE, 0xEF, 1, 2, 3, 4, 5]).unwrap();
+        let mut frame = Vec::new();
+        framing::write_frame(&mut frame, &[0xDE, 0xAD, 0xBE, 0xEF, 1, 2, 3, 4, 5]).unwrap();
+        client.send_raw(&frame).unwrap();
         let resp = client.recv().unwrap().unwrap();
         assert!(matches!(
             resp.body,
@@ -1499,6 +1585,13 @@ mod tests {
         let snap = handle.snapshot();
         assert!(body.contains(&format!("soar_serve_solves_total {}\n", snap.solves)));
         assert!(body.contains(&format!("soar_serve_requests_total {}\n", snap.requests)));
+        assert!(body.contains(&format!("soar_serve_responses_total {}\n", snap.responses)));
+        assert!(body.contains(&format!(
+            "soar_serve_response_flushes_total {}\n",
+            snap.response_flushes
+        )));
+        // Four calls, four answers, each alone in its dispatch run.
+        assert_eq!((snap.responses, snap.response_flushes), (4, 4));
         assert!(body.contains("soar_serve_resident_tenants 1\n"));
         assert!(body.contains("soar_serve_tenant_solve_ns_total{tenant=\"4\"}"));
         assert!(body.contains("# TYPE soar_serve_queue_wait_ns summary"));
@@ -1517,6 +1610,63 @@ mod tests {
 
         handle.shutdown();
         handle.join();
+    }
+
+    #[test]
+    fn reader_that_never_reads_is_dropped_at_the_write_deadline() {
+        let config = ServeConfig {
+            write_deadline: Some(Duration::from_millis(200)),
+            queue_cap: 1 << 16,
+            tenant_inflight_cap: 1 << 16,
+            ..ServeConfig::default()
+        };
+        let handle = start(config).unwrap();
+        let register = RequestBody::Register {
+            tenant: 1,
+            switches: 64,
+            budget: 4,
+            seed: 5,
+        };
+        let mut b = Client::connect(&handle.addr()).unwrap();
+        b.call(&request(0, register)).unwrap();
+
+        // Connection A pipelines sweeps whose ~390 KB replies fill both
+        // socket buffers, and never reads one. Its sends fail once the
+        // daemon drops it.
+        let (mut a_tx, a_rx) = Client::connect(&handle.addr()).unwrap().split().unwrap();
+        let sweep = request(
+            0,
+            RequestBody::Sweep {
+                tenant: 1,
+                budgets: vec![1; 1 << 15],
+            },
+        );
+        let flood = std::thread::spawn(move || {
+            for _ in 0..64 {
+                if a_tx.send(&sweep).is_err() {
+                    break;
+                }
+            }
+        });
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while handle.snapshot().io_errors == 0 {
+            assert!(Instant::now() < deadline, "A was never dropped");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        flood.join().unwrap();
+
+        // B is still served.
+        let resp = b
+            .call(&request(1, RequestBody::Solve { tenant: 1 }))
+            .unwrap();
+        assert!(matches!(resp.body, ResponseBody::Solved(_)), "{resp:?}");
+
+        handle.shutdown();
+        let snap = handle.join();
+        drop(a_rx);
+        assert!(snap.io_errors > 0);
+        // Every request read was either answered or counted as lost.
+        assert_eq!(snap.requests, snap.responses + snap.io_errors);
     }
 
     #[test]
