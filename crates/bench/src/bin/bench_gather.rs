@@ -4,7 +4,7 @@
 //! [`GatherMicrobench`](soar_exp::ExperimentKind::GatherMicrobench) spec —
 //! `gather-bench` by default (the `BT(n)` sizes of
 //! [`soar_bench::perf::GATHER_BENCH_SIZES`]), or `gather-scale` for the
-//! large-tree CI gate (100k switches, 16-ary, compressed arena) — and records,
+//! large-tree CI gate (100k switches, 16-ary, subtree-capped arena) — and records,
 //! per size, the fresh and warm-workspace wall times, the warm pass's
 //! allocation count (expected 0) and the peak arena footprint. The snapshot is
 //! a regular [`RunArtifact`](soar_exp::RunArtifact) JSON document — the same

@@ -79,27 +79,23 @@ fn assign(
     coloring: &mut Coloring,
     stack: &mut Vec<(NodeId, usize, usize)>,
 ) {
-    // `Y` reads go through `y_value`, which serves elided nodes (compressed
-    // arenas: leaves and single-child chain nodes) bit-identically to the
-    // stored rows; split reads below only happen for multi-child nodes, whose
-    // blocks are always stored.
+    // Reads at `budget` past a node's last stored column return that column:
+    // the value, color and split the uncapped table holds there.
+    let table = tables.node(v);
     if tree.is_leaf(v) {
         // A leaf goes blue when it has budget, is available, and aggregating does not
         // cost more than forwarding its own workers (Alg. 4 colors any budgeted leaf;
         // the extra guard only matters for degenerate zero-load leaves).
         if budget > 0
             && tree.available(v)
-            && tables.y_value(tree, v, l, budget, Color::Blue)
-                <= tables.y_value(tree, v, l, budget, Color::Red)
+            && table.y(l, budget, Color::Blue) <= table.y(l, budget, Color::Red)
         {
             coloring.set_blue(v);
         }
         return;
     }
 
-    let table = tables.node(v);
-    let blue = tables.y_value(tree, v, l, budget, Color::Blue)
-        < tables.y_value(tree, v, l, budget, Color::Red);
+    let blue = table.y(l, budget, Color::Blue) < table.y(l, budget, Color::Red);
     if blue {
         coloring.set_blue(v);
     }

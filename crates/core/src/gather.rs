@@ -20,7 +20,10 @@
 //! warm [`SolverWorkspace`](crate::workspace::SolverWorkspace) runs the whole pass
 //! without a single heap allocation.
 //!
-//! The complexity is `O(n · h(T) · k²)` time as in Theorem 4.1.
+//! The complexity is `O(n · h(T) · k²)` time as in Theorem 4.1. Node `v`'s table
+//! is only `min(k, s_v) + 1` columns wide (see the [`tables`](crate::tables)
+//! module docs), so the deep levels of a tree, where subtrees hold fewer than
+//! `k` switches, cost far less than that bound.
 
 use crate::node_dp::{fill_node, DpKernel, DpScratch, NodeTableMut};
 use crate::tables::GatherTables;
@@ -34,9 +37,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// stripe bases), which is what keeps the two bit-identical by construction.
 struct LevelFill<'a> {
     tree: &'a Tree,
-    n_i: usize,
-    /// Whether ≤1-child nodes' `Y` blocks are elided (compressed arena).
-    compressed: bool,
     /// The `mCost` kernel every node of the pass runs.
     kernel: DpKernel,
     /// Cell offset of the first strictly-deeper node: where `x_children` starts
@@ -45,18 +45,23 @@ struct LevelFill<'a> {
     x_children: &'a [f64],
     rho: &'a [f64],
     n_l: &'a [u32],
+    n_i: &'a [u32],
     cell_off: &'a [usize],
-    y_off: &'a [usize],
     rho_off: &'a [usize],
     split_off: &'a [usize],
     split_len: &'a [usize],
 }
 
 impl LevelFill<'_> {
+    /// Number of cells of node `v`'s table: `(D(v) + 2) · (min(k, s_v) + 1)`.
+    fn cells(&self, v: NodeId) -> usize {
+        self.n_l[v] as usize * self.n_i[v] as usize
+    }
+
     /// Fills node `v`'s table inside region slices whose first cell sits at
-    /// arena offset `cell_base` (respectively `y_base` / `split_base` for the
-    /// `Y` and split regions). Children's `X` tables are borrowed from
-    /// `x_children`. Returns the scratch growth count.
+    /// arena offset `cell_base` (respectively `split_base` for the split
+    /// region). Children's `X` tables are borrowed from `x_children`. Returns
+    /// the scratch growth count.
     #[allow(clippy::too_many_arguments)]
     fn fill_one(
         &self,
@@ -66,37 +71,28 @@ impl LevelFill<'_> {
         y_red: &mut [f64],
         splits: &mut [u32],
         cell_base: usize,
-        y_base: usize,
         split_base: usize,
         scratch: &mut DpScratch,
     ) -> usize {
         let rows = self.n_l[v] as usize;
-        let cells = rows * self.n_i;
+        let cells = self.cells(v);
         let off = self.cell_off[v] - cell_base;
         let sp_off = self.split_off[v] - split_base;
         let children = self.tree.children(v);
-        // Elided nodes get empty `Y` destinations; fill_node skips the writes
-        // and `GatherTables::y_value` recomputes the values on demand.
-        let y_cells = if self.compressed && children.len() <= 1 {
-            0
-        } else {
-            cells
-        };
-        let yo = self.y_off[v] - y_base;
         fill_node(
             NodeTableMut {
                 x: &mut x[off..off + cells],
-                y_blue: &mut y_blue[yo..yo + y_cells],
-                y_red: &mut y_red[yo..yo + y_cells],
+                y_blue: &mut y_blue[off..off + cells],
+                y_red: &mut y_red[off..off + cells],
                 splits: &mut splits[sp_off..sp_off + self.split_len[v]],
             },
             &self.rho[self.rho_off[v]..self.rho_off[v] + rows],
             self.tree.load(v),
             self.tree.available(v),
-            self.n_i,
+            self.n_i[v] as usize,
             children.len(),
             children.iter().map(|&c| {
-                let c_cells = self.n_l[c] as usize * self.n_i;
+                let c_cells = self.cells(c);
                 let c_off = self.cell_off[c] - self.boundary;
                 &self.x_children[c_off..c_off + c_cells]
             }),
@@ -128,12 +124,10 @@ pub(crate) fn run_gather(
     kernel: DpKernel,
 ) -> usize {
     let mut grew = 0;
-    let n_i = tables.n_i;
     for d in (0..tables.level_ranges.len()).rev() {
         let _level = soar_obs::span!("gather_level", d);
         let (start, end) = tables.level_ranges[d];
         let boundary = tables.level_cell_end[d];
-        let compressed = tables.compressed;
         let GatherTables {
             x,
             y_blue,
@@ -141,8 +135,8 @@ pub(crate) fn run_gather(
             splits,
             rho,
             n_l,
+            n_i,
             cell_off,
-            y_off,
             rho_off,
             split_off,
             split_len,
@@ -154,21 +148,19 @@ pub(crate) fn run_gather(
         let (x_level, x_children) = x.split_at_mut(boundary);
         let ctx = LevelFill {
             tree,
-            n_i,
-            compressed,
             kernel,
             boundary,
             x_children,
             rho,
             n_l,
+            n_i,
             cell_off,
-            y_off,
             rho_off,
             split_off,
             split_len,
         };
         for &v in &level_nodes[start..end] {
-            grew += ctx.fill_one(v, x_level, y_blue, y_red, splits, 0, 0, 0, scratch);
+            grew += ctx.fill_one(v, x_level, y_blue, y_red, splits, 0, 0, scratch);
         }
     }
     grew
@@ -210,7 +202,6 @@ pub(crate) fn run_gather_partial(
     for &v in dirty {
         tables.refresh_rho_node(tree, v);
     }
-    let n_i = tables.n_i;
     let mut idx = 0;
     while idx < dirty.len() {
         let d = tree.depth(dirty[idx]);
@@ -224,7 +215,6 @@ pub(crate) fn run_gather_partial(
         );
         let _level = soar_obs::span!("gather_level", d);
         let boundary = tables.level_cell_end[d];
-        let compressed = tables.compressed;
         let GatherTables {
             x,
             y_blue,
@@ -232,8 +222,8 @@ pub(crate) fn run_gather_partial(
             splits,
             rho,
             n_l,
+            n_i,
             cell_off,
-            y_off,
             rho_off,
             split_off,
             split_len,
@@ -242,21 +232,19 @@ pub(crate) fn run_gather_partial(
         let (x_level, x_children) = x.split_at_mut(boundary);
         let ctx = LevelFill {
             tree,
-            n_i,
-            compressed,
             kernel,
             boundary,
             x_children,
             rho,
             n_l,
+            n_i,
             cell_off,
-            y_off,
             rho_off,
             split_off,
             split_len,
         };
         for &v in &dirty[idx..end] {
-            grew += ctx.fill_one(v, x_level, y_blue, y_red, splits, 0, 0, 0, scratch);
+            grew += ctx.fill_one(v, x_level, y_blue, y_red, splits, 0, 0, scratch);
         }
         idx = end;
     }
@@ -289,7 +277,6 @@ pub(crate) fn run_gather_parallel(
         scratches.push(DpScratch::new());
     }
     let grew = AtomicUsize::new(0);
-    let n_i = tables.n_i;
     for d in (0..tables.level_ranges.len()).rev() {
         let (start, end) = tables.level_ranges[d];
         let n_nodes = end - start;
@@ -311,9 +298,6 @@ pub(crate) fn run_gather_parallel(
             tables.level_split_end[d - 1]
         };
         let level_split_end = tables.level_split_end[d];
-        let level_y_start = if d == 0 { 0 } else { tables.level_y_end[d - 1] };
-        let level_y_end = tables.level_y_end[d];
-        let compressed = tables.compressed;
         let per_stripe = n_nodes.div_ceil(max_stripes);
         let GatherTables {
             x,
@@ -322,8 +306,8 @@ pub(crate) fn run_gather_parallel(
             splits,
             rho,
             n_l,
+            n_i,
             cell_off,
-            y_off,
             rho_off,
             split_off,
             split_len,
@@ -332,24 +316,22 @@ pub(crate) fn run_gather_parallel(
         } = &mut *tables;
         let (x_level_all, x_children) = x.split_at_mut(boundary);
         // Mutable leases on this level's region of each arena; stripes are carved
-        // off the front as the spawn loop walks the level. The `Y` region has its
-        // own (compression-aware) extent, bounded by `level_y_end`.
+        // off the front as the spawn loop walks the level. `X` and both `Y`
+        // arenas share one layout.
         let mut x_rest = &mut x_level_all[level_cell_start..];
-        let mut yb_rest = &mut y_blue[level_y_start..level_y_end];
-        let mut yr_rest = &mut y_red[level_y_start..level_y_end];
+        let mut yb_rest = &mut y_blue[level_cell_start..boundary];
+        let mut yr_rest = &mut y_red[level_cell_start..boundary];
         let mut sp_rest = &mut splits[level_split_start..level_split_end];
         // Shared, read-only state for all stripes.
         let ctx = &LevelFill {
             tree,
-            n_i,
-            compressed,
             kernel,
             boundary,
             x_children,
             rho,
             n_l,
+            n_i,
             cell_off,
-            y_off,
             rho_off,
             split_off,
             split_len,
@@ -363,21 +345,14 @@ pub(crate) fn run_gather_parallel(
                 let first = stripe_nodes[0];
                 let last = stripe_nodes[stripe_nodes.len() - 1];
                 let cell_base = ctx.cell_off[first];
-                let cell_len = ctx.cell_off[last] + ctx.n_l[last] as usize * n_i - cell_base;
+                let cell_len = ctx.cell_off[last] + ctx.cells(last) - cell_base;
                 let split_base = ctx.split_off[first];
                 let split_total = ctx.split_off[last] + ctx.split_len[last] - split_base;
-                let y_base = ctx.y_off[first];
-                let last_y_cells = if compressed && ctx.split_len[last] == 0 {
-                    0
-                } else {
-                    ctx.n_l[last] as usize * n_i
-                };
-                let y_len = ctx.y_off[last] + last_y_cells - y_base;
                 let (x_s, tail) = std::mem::take(&mut x_rest).split_at_mut(cell_len);
                 x_rest = tail;
-                let (yb_s, tail) = std::mem::take(&mut yb_rest).split_at_mut(y_len);
+                let (yb_s, tail) = std::mem::take(&mut yb_rest).split_at_mut(cell_len);
                 yb_rest = tail;
-                let (yr_s, tail) = std::mem::take(&mut yr_rest).split_at_mut(y_len);
+                let (yr_s, tail) = std::mem::take(&mut yr_rest).split_at_mut(cell_len);
                 yr_rest = tail;
                 let (sp_s, tail) = std::mem::take(&mut sp_rest).split_at_mut(split_total);
                 sp_rest = tail;
@@ -385,9 +360,8 @@ pub(crate) fn run_gather_parallel(
                     let _stripe = soar_obs::span!("gather_stripe", stripe_nodes.len());
                     let mut local_grew = 0;
                     for &v in stripe_nodes {
-                        local_grew += ctx.fill_one(
-                            v, x_s, yb_s, yr_s, sp_s, cell_base, y_base, split_base, scratch,
-                        );
+                        local_grew +=
+                            ctx.fill_one(v, x_s, yb_s, yr_s, sp_s, cell_base, split_base, scratch);
                     }
                     if local_grew > 0 {
                         grew.fetch_add(local_grew, Ordering::Relaxed);

@@ -112,19 +112,20 @@
 //! [`api::DpStats::tiles`] and [`api::DpStats::pruned_splits`] report what
 //! actually ran.
 //!
-//! At 100k–1M switches the arena itself is the bottleneck, so trees with at
-//! least [`workspace::COMPRESS_MIN_SWITCHES`] switches lay out a **compressed
-//! arena**: nodes with at most one child skip their `Y` blocks entirely
-//! (their `Y` row is a cheap function of the child's `X` row, recomputed
-//! bit-identically on demand by [`GatherTables::y_value`]). On a complete
-//! 16-ary tree — where ~94 % of switches are leaves — this cuts the arena
-//! roughly 3×: a 100k-switch, `k = 16` solve peaks at 166 MB and replays
-//! warm in 82 ms, and a million-switch solve fits comfortably in memory and
-//! stays allocation-free when warm (the `scale-smoke` CI job gates both, and
-//! the ignored `scale_1m` test runs the 1M case end to end). After a big
-//! solve the workspace gives the memory back: arenas past
-//! [`workspace::SHRINK_BIG_BYTES`] are truncated to the live size once they
-//! sit idle for [`workspace::SHRINK_BIG_AFTER_PASSES`] smaller passes.
+//! The arena is sized by subtree, not by budget: node `v` stores
+//! `min(k, s_v) + 1` columns, where `s_v` is the number of switches below it
+//! (a subtree cannot hold more blue nodes than switches, and every row is
+//! bitwise constant from `i = s_v` on, so reads past the last column clamp to
+//! it without changing any value, split or coloring — see [`tables`]). On
+//! `BT(4096)` at `k = 16` that is 223,232 cells instead of 835,584; a
+//! 100k-switch complete 16-ary tree at `k = 16` needs 114 MB and a
+//! million-switch one 1.28 GB, and both stay allocation-free when warm (the
+//! `scale-smoke` CI job gates the 100k point, and the ignored `scale_1m`
+//! test runs the 1M case end to end). No budget, however large, can make a
+//! table wider than `n + 1` columns. After a big solve the workspace gives
+//! the memory back: arenas past [`workspace::SHRINK_BIG_BYTES`] are
+//! truncated to the live size once they sit idle for
+//! [`workspace::SHRINK_BIG_AFTER_PASSES`] smaller passes.
 //!
 //! For *dynamic* workloads the workspace additionally supports **incremental
 //! updates**: [`workspace::SolverWorkspace::gather_update`] refills only an

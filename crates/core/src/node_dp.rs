@@ -236,7 +236,8 @@ fn effective_width(row: &[f64]) -> usize {
 /// Mutable destination slices for one node's table, borrowed from the
 /// [`GatherTables`](crate::tables::GatherTables) arena (or from an owned
 /// [`NodeTable`]'s buffers). All slices are `n_l · n_i` cells, row-major in `ℓ`,
-/// except `splits` which is `(C(v) - 1) · n_l · n_i · 2`.
+/// except `splits` which is `(C(v) - 1) · n_l · n_i · 2`, where `n_i` is the
+/// node's own column count.
 pub struct NodeTableMut<'a> {
     /// `X_v` destination.
     pub x: &'a mut [f64],
@@ -252,10 +253,14 @@ pub struct NodeTableMut<'a> {
 ///
 /// * `path_rho[ℓ]` must hold `ρ(v, Aᵉ_v)` for `ℓ = 0 ..= D(v) + 1`; its length is
 ///   the number of rows `n_l`.
-/// * `n_i` is `k + 1`.
-/// * `children_x` yields each child's flat `X` table in child order (`n_l + 1`
-///   rows of `n_i` columns — i.e. the child's own table); it must yield exactly
-///   `n_children` items.
+/// * `n_i` is the node's column count: `k + 1`, or `min(k, s_v) + 1` in the
+///   capped arena layout.
+/// * `children_x` yields each child's flat `X` table in child order — the
+///   child's own table, exactly `n_l + 1` rows of at most `n_i` columns (its
+///   column count is the slice length over `n_l + 1`); it must yield exactly
+///   `n_children` items. A child row narrower than `n_i` is read as if its
+///   last column repeated, which is exact when that column starts the row's
+///   plateau (see the [`tables`](crate::tables) module docs).
 ///
 /// Returns the number of scratch buffers that had to grow (0 once warm).
 #[allow(clippy::too_many_arguments)]
@@ -282,26 +287,18 @@ pub fn fill_node<'c>(
 
 /// Base case (Alg. 3, lines 1-9): a leaf aggregates (blue) for `1 · ρ` or forwards its
 /// own workers (red) for `L(v) · ρ`.
-///
-/// An empty `out.y_blue` marks a `Y`-elided destination (compressed arena): the
-/// `Y` rows are skipped and later recomputed on demand by
-/// [`GatherTables::y_value`](crate::tables::GatherTables::y_value) with these
-/// same expressions.
 fn fill_leaf(out: NodeTableMut<'_>, path_rho: &[f64], load: u64, available: bool, n_i: usize) {
     let load = load as f64;
-    let elide_y = out.y_blue.is_empty();
     for (l, &rho) in path_rho.iter().enumerate() {
         let red = rho * load;
         let blue = if available { rho } else { INF };
         let row = l * n_i;
         let x_row = &mut out.x[row..row + n_i];
-        if !elide_y {
-            let yb_row = &mut out.y_blue[row..row + n_i];
-            let yr_row = &mut out.y_red[row..row + n_i];
-            yr_row.fill(red);
-            yb_row[0] = INF;
-            yb_row[1..].fill(blue);
-        }
+        let yb_row = &mut out.y_blue[row..row + n_i];
+        let yr_row = &mut out.y_red[row..row + n_i];
+        yr_row.fill(red);
+        yb_row[0] = INF;
+        yb_row[1..].fill(blue);
         x_row[0] = red;
         x_row[1..].fill(red.min(blue));
     }
@@ -341,24 +338,34 @@ fn fill_internal<'c>(
         let cx = children_x
             .next()
             .expect("children_x yields one table per child");
+        // The child's column count (≤ n_i): reads past its last column clamp.
+        let c_w = cx.len() / (n_l + 1);
+        assert!(
+            c_w >= 1 && c_w <= n_i && cx.len() == (n_l + 1) * c_w,
+            "a child table must be {} rows of at most {n_i} columns (got {} cells)",
+            n_l + 1,
+            cx.len()
+        );
         // The only row the blue recursion reads: the child at distance 1.
         // Hoisted out of the ℓ loop (and its bounds check out of the j loop).
-        let d1_row = &cx[n_i..2 * n_i];
+        let d1_row = &cx[c_w..2 * c_w];
         if m_index == 0 {
-            // First child: Y^1 is a direct lookup, no split to record.
+            // First child: Y^1 is a direct lookup, no split to record. Columns
+            // past the child's width extend its plateau.
             let cur_blue = &mut cur_blue[..cells];
             let cur_red = &mut cur_red[..cells];
             for (l, &rho) in path_rho.iter().enumerate() {
                 let row = l * n_i;
                 // Red: c_1 is looked up at distance ℓ + 1; v's own workers travel
                 // ℓ links to the barrier.
-                let child_row = &cx[row + n_i..row + 2 * n_i];
+                let child_row = &cx[(l + 1) * c_w..(l + 2) * c_w];
                 let cb_row = &mut cur_blue[row..row + n_i];
                 let cr_row = &mut cur_red[row..row + n_i];
                 let red_base = rho * load;
                 for (cr, &c) in cr_row.iter_mut().zip(child_row) {
                     *cr = c + red_base;
                 }
+                cr_row[c_w..].fill(child_row[c_w - 1] + red_base);
                 // Blue: v consumes one blue node; c_1 is looked up at distance 1
                 // with the remaining i - 1 nodes.
                 cb_row[0] = INF;
@@ -366,6 +373,7 @@ fn fill_internal<'c>(
                     for (cb, &c) in cb_row[1..].iter_mut().zip(d1_row) {
                         *cb = c + rho;
                     }
+                    cb_row[(c_w + 1).min(n_i)..].fill(d1_row[c_w - 1] + rho);
                 } else {
                     cb_row[1..].fill(INF);
                 }
@@ -385,7 +393,7 @@ fn fill_internal<'c>(
             };
             for l in 0..n_l {
                 let row = l * n_i;
-                let child_row = &cx[row + n_i..row + 2 * n_i];
+                let child_row = &cx[(l + 1) * c_w..(l + 2) * c_w];
                 let pb_row = &prev_blue[row..row + n_i];
                 let pr_row = &prev_red[row..row + n_i];
                 let cb_row = &mut cur_blue[row..row + n_i];
@@ -439,29 +447,24 @@ fn fill_internal<'c>(
         std::mem::swap(prev_red, cur_red);
     }
 
-    // Final stage: Y_v = Y^{C(v)}, X_v = min(Y_B, Y_R). An empty `out.y_blue`
-    // marks a Y-elided destination (single-child node of a compressed arena —
-    // its Y is the first-child fold, recomputed on demand by `y_value`).
+    // Final stage: Y_v = Y^{C(v)}, X_v = min(Y_B, Y_R).
     let prev_blue = &prev_blue[..cells];
     let prev_red = &prev_red[..cells];
-    if out.y_blue.is_empty() {
-        for i in 0..cells {
-            out.x[i] = prev_blue[i].min(prev_red[i]);
-        }
-    } else {
-        for i in 0..cells {
-            let blue = prev_blue[i];
-            let red = prev_red[i];
-            out.y_blue[i] = blue;
-            out.y_red[i] = red;
-            out.x[i] = blue.min(red);
-        }
+    for i in 0..cells {
+        let blue = prev_blue[i];
+        let red = prev_red[i];
+        out.y_blue[i] = blue;
+        out.y_red[i] = red;
+        out.x[i] = blue.min(red);
     }
     grew
 }
 
 /// Reference `mCost` row: the full quadratic arg-min scan, first strict minimum
 /// wins. Every other kernel is property-tested bit-identical to this one.
+///
+/// The child rows may be narrower than the budget row; a split `j` past their
+/// last column reads that column (the child's plateau).
 #[allow(clippy::too_many_arguments)]
 fn mcost_row_scalar(
     pb_row: &[f64],
@@ -474,6 +477,7 @@ fn mcost_row_scalar(
     split_row: &mut [u32],
 ) {
     let n_i = cb_row.len();
+    let c_last = child_row.len() - 1;
     for i in 0..n_i {
         // mCost for color B: hand j blue nodes to c_m, keep i - j ≥ 1
         // in the prefix (one of them is v itself).
@@ -481,7 +485,7 @@ fn mcost_row_scalar(
         let mut best_blue_j = 0u32;
         if available && i >= 1 {
             for j in 0..i {
-                let value = pb_row[i - j] + d1_row[j];
+                let value = pb_row[i - j] + d1_row[j.min(c_last)];
                 if value < best_blue {
                     best_blue = value;
                     best_blue_j = j as u32;
@@ -492,7 +496,7 @@ fn mcost_row_scalar(
         let mut best_red = INF;
         let mut best_red_j = 0u32;
         for j in 0..=i {
-            let value = pr_row[i - j] + child_row[j];
+            let value = pr_row[i - j] + child_row[j.min(c_last)];
             if value < best_red {
                 best_red = value;
                 best_red_j = j as u32;
@@ -509,7 +513,8 @@ fn mcost_row_scalar(
 ///
 /// Candidates are `value(j) = p[i - j] + c[j]` for `j ∈ [0, hi]`; `p` and `c`
 /// are non-increasing DP rows. `e` caps the scan at `c`'s effective width
-/// (plateau candidates lose to `j = e`); the early exit fires once no remaining
+/// (plateau candidates lose to `j = e`), so `c` may be narrower than `hi + 1`
+/// columns as long as it ends on its plateau; the early exit fires once no remaining
 /// candidate can be *strictly* below the running minimum: every `j' > j` has
 /// `p[i - j'] ≥ p[i - j - 1]` and `c[j'] ≥ c[jmax]`. Returns `(min, arg, skipped)`.
 #[inline]
@@ -646,7 +651,8 @@ fn sweep_color(
     }
 }
 
-/// `mCost` row via the loop-swapped f64x4 column sweep. Bit-identical to
+/// `mCost` row via the loop-swapped f64x4 column sweep (like the pruned row,
+/// it never reads a child column past the effective width). Bit-identical to
 /// [`mcost_row_scalar`] (values and splits): the candidate set is the same
 /// pruned set as [`mcost_row_pruned`], evaluated with identical f64 expressions
 /// in ascending-`j` order with strict-`<` updates.
@@ -707,7 +713,7 @@ fn mcost_row_tiled(
 ///
 /// * `path_rho[ℓ]` must hold `ρ(v, Aᵉ_v)` for `ℓ = 0 ..= D(v) + 1`.
 /// * `children_x[m]` is the flat `X` table of the `m`-th child (row-major in `ℓ`, with
-///   `k + 1` columns and at least `D(v) + 3` rows — i.e. the child's own table).
+///   `k + 1` columns and `D(v) + 3` rows — i.e. the child's own table).
 ///
 /// The returned table contains `X_v`, the final-stage `Y_v(·, ·, B/R)` and the recorded
 /// split decisions for children `m ≥ 2`. This is the entry point of the

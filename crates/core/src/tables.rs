@@ -17,13 +17,37 @@
 //! The parameter ranges are `ℓ ∈ {0, ..., D(v) + 1}` (up to the distance from `v` to
 //! the destination) and `i ∈ {0, ..., k}`.
 //!
+//! ## Table widths: `min(k, s_v) + 1` columns per node
+//!
+//! A subtree of `s_v` switches can hold at most `s_v` blue nodes, so the rows
+//! of `v`'s table stop changing at `i = s_v`: every `X`, `Y` and recorded split
+//! at `i > s_v` is **bitwise** equal to the one at `s_v`. The arena therefore
+//! stores only `w_v = min(k, s_v) + 1` columns for node `v`, and every read at
+//! `i ≥ w_v` returns column `w_v − 1`. `s_v` depends only on the tree's shape,
+//! so availability, load and rate churn never change the layout.
+//!
+//! Why clamped reads are exact: by induction over the prefix recursion, the
+//! stage-`m` rows `Y_v^m` are constant from `S_m = 1 + s_{c_1} + … + s_{c_m}`
+//! on. For `i ≥ S_m` every split `j ≤ s_{c_m}` leaves `i − j ≥ S_{m−1}`, so its
+//! candidate is `plateau(Y^{m−1}) + row_c[j]`; splits `j > s_{c_m}` pair the
+//! child's plateau with a prefix value that is no smaller. The minimum is the
+//! same f64 sum, and its first arg-min lies in `[0, s_{c_m}]` independently of
+//! `i`. Hence for `i ≤ s_v` the candidate list the fill evaluates is the
+//! uncapped one bit for bit (a child read at `j ≥ w_c` clamps to the child's
+//! plateau, which is what the uncapped child holds there), and for `i > s_v`
+//! the clamped value, split and traceback step are the ones at `s_v`. The
+//! owned [`NodeTable`] of the distributed rendition keeps uniform `k + 1`
+//! columns; the same kernels serve both, because with uniform widths no read
+//! ever clamps.
+//!
 //! ## Storage: one arena per gather pass
 //!
 //! [`GatherTables`] does **not** hold one heap object per switch. All per-switch
 //! tables live in five flat arenas (`X`, `Y_B`, `Y_R`, the ρ prefix sums, and the
 //! split decisions), with per-node offsets precomputed from the tree shape by
-//! [`GatherTables::reset`]. Nodes are laid out **grouped by depth** (shallowest
-//! level first), which gives the gather pass two properties for free:
+//! [`GatherTables::reset`], each block sized `(D(v) + 2) · w_v`. Nodes are laid
+//! out **grouped by depth** (shallowest level first), which gives the gather
+//! pass two properties for free:
 //!
 //! * a node's children always live *after* the node's own level in the arena, so
 //!   one `split_at_mut` per level yields disjoint mutable output blocks and shared
@@ -62,7 +86,9 @@ pub enum Color {
 pub trait DpTable {
     /// Number of distinct `ℓ` values of this table.
     fn n_l(&self) -> usize;
-    /// Number of distinct `i` values (`k + 1`).
+    /// Number of stored `i` columns: `k + 1` for an owned [`NodeTable`],
+    /// `min(k, s_v) + 1` in the [`GatherTables`] arena (reads past the last
+    /// column return it; see the [module docs](self)).
     fn n_i(&self) -> usize;
     /// `X_v(ℓ, i)`.
     fn x(&self, l: usize, i: usize) -> f64;
@@ -217,11 +243,14 @@ impl DpTable for NodeTable {
 }
 
 /// A borrowed view of one switch's DP table inside the [`GatherTables`] arena.
+///
+/// Reads at `i ≥ n_i` return column `n_i − 1`, the plateau every row reaches
+/// at `i = s_v` (see the [module docs](self)).
 #[derive(Debug, Clone, Copy)]
 pub struct NodeTableView<'a> {
     /// Number of distinct `ℓ` values of this node's table.
     pub n_l: usize,
-    /// Number of distinct `i` values (`k + 1`).
+    /// Number of stored `i` columns: `min(k, s_v) + 1`.
     pub n_i: usize,
     x: &'a [f64],
     y_blue: &'a [f64],
@@ -234,8 +263,7 @@ impl NodeTableView<'_> {
     #[inline]
     fn idx(&self, l: usize, i: usize) -> usize {
         debug_assert!(l < self.n_l, "l = {l} out of range {}", self.n_l);
-        debug_assert!(i < self.n_i, "i = {i} out of range {}", self.n_i);
-        l * self.n_i + i
+        l * self.n_i + i.min(self.n_i - 1)
     }
 
     /// `X_v(ℓ, i)`.
@@ -303,41 +331,20 @@ impl DpTable for NodeTableView<'_> {
 }
 
 /// All per-switch tables produced by one run of SOAR-Gather, stored in flat,
-/// reusable arenas (see the [module docs](self) for the layout).
-///
-/// ## Compressed mode
-///
-/// For very large trees the arena supports **per-level compression**: nodes with
-/// at most one child (every leaf and every node of a path-like chain) do not
-/// store their final-stage `Y` rows at all. Such a node's `Y` values are a
-/// closed-form function of its own ρ block, load, availability and (for a
-/// single-child node) its child's `X` table — exactly the expressions the
-/// gather's leaf base case / first-child fold evaluates — so
-/// [`GatherTables::y_value`] recomputes them bit-identically on demand and
-/// SOAR-Color never notices the elision. The `X` arena stays dense (parents
-/// fold children's `X` rows), but `Y` memory scales with the tree's *effective
-/// width* (number of multi-child nodes) rather than its node count: on a
-/// leaf-dominated fat-tree this removes the majority of `Y` storage, and on a
-/// path it removes all of it. Compression is chosen per layout by
-/// [`GatherTables::reset`]; the solver workspace enables it automatically above
-/// [`crate::workspace::COMPRESS_MIN_SWITCHES`] switches.
+/// reusable arenas, node `v` with `min(k, s_v) + 1` columns (see the
+/// [module docs](self) for the layout and why clamped reads are exact).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct GatherTables {
     /// The budget the tables were computed for.
     pub k: usize,
-    /// Columns per row: `k + 1`.
-    pub(crate) n_i: usize,
-    /// Whether ≤1-child nodes' `Y` rows are elided from the `y_*` arenas.
-    pub(crate) compressed: bool,
     // ---- per-node layout, indexed by NodeId ----
     /// Rows of node `v`'s table: `D(v) + 2`.
     pub(crate) n_l: Vec<u32>,
+    /// Columns of node `v`'s table: `min(k, s_v) + 1`, where `s_v` is the
+    /// number of switches in `v`'s subtree.
+    pub(crate) n_i: Vec<u32>,
     /// Offset (in cells) of node `v`'s block inside `x` / `y_blue` / `y_red`.
     pub(crate) cell_off: Vec<usize>,
-    /// Offset (in cells) of node `v`'s block inside `y_blue` / `y_red`. Equal to
-    /// `cell_off` in full mode; in compressed mode a running cursor that elided
-    /// nodes share with their successor (zero-length blocks keep slicing uniform).
-    pub(crate) y_off: Vec<usize>,
     /// Offset of node `v`'s ρ prefix block inside `rho` (length `n_l[v]`).
     pub(crate) rho_off: Vec<usize>,
     /// Offset (in `u32`s) of node `v`'s split block inside `splits`.
@@ -351,8 +358,6 @@ pub struct GatherTables {
     pub(crate) level_ranges: Vec<(usize, usize)>,
     /// Per depth `d`: cell offset one past its last node's block.
     pub(crate) level_cell_end: Vec<usize>,
-    /// Per depth `d`: `y` offset one past its last node's block.
-    pub(crate) level_y_end: Vec<usize>,
     /// Per depth `d`: split offset one past its last node's block.
     pub(crate) level_split_end: Vec<usize>,
     // ---- arenas ----
@@ -384,10 +389,10 @@ fn fit<T: Copy>(v: &mut Vec<T>, len: usize, fill: T) -> usize {
 
 impl GatherTables {
     /// Creates tables laid out for the tree and budget, with all values zeroed
-    /// (the gather pass overwrites every cell). Full (uncompressed) mode.
+    /// (the gather pass overwrites every cell).
     pub(crate) fn new(tree: &Tree, k: usize) -> Self {
         let mut tables = GatherTables::default();
-        tables.reset(tree, k, false);
+        tables.reset(tree, k);
         tables
     }
 
@@ -396,23 +401,16 @@ impl GatherTables {
     /// workspace is warm for this shape — the alloc-count fed into
     /// [`crate::api::DpStats`]).
     ///
-    /// `compressed` selects the `Y`-elision layout for ≤1-child nodes (see the
-    /// [type docs](GatherTables)); it must be decided per layout, before any
-    /// values are written.
-    ///
     /// Only the layout is computed here; values are written by the gather pass,
     /// which overwrites every cell, so no clearing is needed.
-    pub(crate) fn reset(&mut self, tree: &Tree, k: usize, compressed: bool) -> usize {
+    pub(crate) fn reset(&mut self, tree: &Tree, k: usize) -> usize {
         let n = tree.n_switches();
-        let n_i = k + 1;
         self.k = k;
-        self.n_i = n_i;
-        self.compressed = compressed;
         let mut grew = 0;
 
         grew += fit(&mut self.n_l, n, 0);
+        grew += fit(&mut self.n_i, n, 0);
         grew += fit(&mut self.cell_off, n, 0);
-        grew += fit(&mut self.y_off, n, 0);
         grew += fit(&mut self.rho_off, n, 0);
         grew += fit(&mut self.split_off, n, 0);
         grew += fit(&mut self.split_len, n, 0);
@@ -420,7 +418,6 @@ impl GatherTables {
         let n_levels = tree.height() + 1;
         grew += fit(&mut self.level_ranges, n_levels, (0, 0));
         grew += fit(&mut self.level_cell_end, n_levels, 0);
-        grew += fit(&mut self.level_y_end, n_levels, 0);
         grew += fit(&mut self.level_split_end, n_levels, 0);
 
         // Counting sort of the nodes by depth: first counts, then starts, then
@@ -443,11 +440,20 @@ impl GatherTables {
             self.level_ranges[d].1 += 1;
         }
 
-        // Arena offsets in level order. The `y` cursor skips elided nodes in
-        // compressed mode (they keep a zero-length block at the running cursor,
-        // so slicing stays uniform and per-level `y` regions stay contiguous).
-        let (mut cells, mut y_cells, mut rho_cells, mut split_cells) =
-            (0usize, 0usize, 0usize, 0usize);
+        // Subtree sizes s_v, deepest level first (children before parents),
+        // accumulated in `n_i` and then capped to the column count.
+        self.n_i.fill(1);
+        for &v in self.level_nodes.iter().rev() {
+            if let Some(p) = tree.parent(v) {
+                self.n_i[p] += self.n_i[v];
+            }
+        }
+        for w in self.n_i.iter_mut() {
+            *w = (*w as usize).min(k) as u32 + 1;
+        }
+
+        // Arena offsets in level order.
+        let (mut cells, mut rho_cells, mut split_cells) = (0usize, 0usize, 0usize);
         for d in 0..n_levels {
             let (start, end) = self.level_ranges[d];
             for idx in start..end {
@@ -455,51 +461,35 @@ impl GatherTables {
                 let n_l = tree.dist_to_dest(v) + 1;
                 self.n_l[v] = n_l as u32;
                 self.cell_off[v] = cells;
-                self.y_off[v] = y_cells;
                 self.rho_off[v] = rho_cells;
                 self.split_off[v] = split_cells;
-                let node_cells = n_l * n_i;
+                let node_cells = n_l * self.n_i[v] as usize;
                 let split_len = tree.n_children(v).saturating_sub(1) * node_cells * 2;
                 self.split_len[v] = split_len;
                 cells += node_cells;
-                if !(compressed && tree.n_children(v) <= 1) {
-                    y_cells += node_cells;
-                }
                 rho_cells += n_l;
                 split_cells += split_len;
             }
             self.level_cell_end[d] = cells;
-            self.level_y_end[d] = y_cells;
             self.level_split_end[d] = split_cells;
         }
 
         grew += fit(&mut self.x, cells, 0.0);
-        grew += fit(&mut self.y_blue, y_cells, 0.0);
-        grew += fit(&mut self.y_red, y_cells, 0.0);
+        grew += fit(&mut self.y_blue, cells, 0.0);
+        grew += fit(&mut self.y_red, cells, 0.0);
         grew += fit(&mut self.rho, rho_cells, 0.0);
         grew += fit(&mut self.splits, split_cells, 0);
 
-        // The ρ prefix sums are part of the layout (they only depend on the tree):
-        // entry ℓ of node v's block is the summed ρ of the first ℓ up-links,
-        // accumulated in the same order as `Tree::path_rho`.
+        // The ρ prefix sums are part of the layout (they only depend on the tree).
         for v in 0..n {
-            let off = self.rho_off[v];
-            let n_l = self.n_l[v] as usize;
-            self.rho[off] = 0.0;
-            let mut acc = 0.0;
-            let mut cur = Some(v);
-            for l in 1..n_l {
-                let u = cur.expect("n_l matches the root-path length");
-                acc += tree.rho(u);
-                self.rho[off + l] = acc;
-                cur = tree.parent(u);
-            }
+            self.refresh_rho_node(tree, v);
         }
         grew
     }
 
     /// Recomputes node `v`'s ρ prefix block against the tree's *current* link
-    /// rates — the same accumulation as [`Self::reset`], restricted to one
+    /// rates: entry `ℓ` is the summed ρ of the first `ℓ` up-links, in the
+    /// same order as `Tree::path_rho`. [`Self::reset`] runs it for every
     /// node, so the stored values are bit-identical when the rates are
     /// unchanged. This is the partial rho-arena reset behind link-rate (ω)
     /// churn: a rate change on the up-link of `w` moves the blocks of exactly
@@ -519,89 +509,30 @@ impl GatherTables {
         }
     }
 
-    /// Whether node `v`'s final-stage `Y` rows are elided from the arenas
-    /// (compressed mode, ≤ 1 child). Elided values are served by
-    /// [`GatherTables::y_value`].
-    #[inline]
-    pub fn y_elided(&self, v: NodeId) -> bool {
-        self.compressed && self.split_len[v] == 0
-    }
-
-    /// Cells of node `v`'s block in the `y` arenas: its table size, or 0 when
-    /// elided.
-    #[inline]
-    pub(crate) fn y_cells_of(&self, v: NodeId) -> usize {
-        if self.y_elided(v) {
-            0
-        } else {
-            self.n_l[v] as usize * self.n_i
-        }
-    }
-
     /// The table of switch `v`, as a borrowed view into the arena.
-    ///
-    /// In compressed mode an elided node's view carries **empty** `Y` slices;
-    /// its `X`, ρ and split accessors stay valid, and `Y` reads must go through
-    /// [`GatherTables::y_value`].
     pub fn node(&self, v: NodeId) -> NodeTableView<'_> {
         let n_l = self.n_l[v] as usize;
-        let cells = n_l * self.n_i;
+        let n_i = self.n_i[v] as usize;
+        let cells = n_l * n_i;
         let off = self.cell_off[v];
-        let y_off = self.y_off[v];
-        let y_cells = self.y_cells_of(v);
         NodeTableView {
             n_l,
-            n_i: self.n_i,
+            n_i,
             x: &self.x[off..off + cells],
-            y_blue: &self.y_blue[y_off..y_off + y_cells],
-            y_red: &self.y_red[y_off..y_off + y_cells],
+            y_blue: &self.y_blue[off..off + cells],
+            y_red: &self.y_red[off..off + cells],
             rho: &self.rho[self.rho_off[v]..self.rho_off[v] + n_l],
             splits: &self.splits[self.split_off[v]..self.split_off[v] + self.split_len[v]],
         }
     }
 
-    /// Final-stage `Y_v(ℓ, i, color)`, whether stored or elided.
-    ///
-    /// For an elided node (compressed mode, ≤ 1 child) the value is recomputed
-    /// from the same inputs with the same f64 expressions the gather pass uses —
-    /// the leaf base case, or the first-child fold against the child's stored
-    /// `X` table — so the result is **bit-identical** to what a full-mode arena
-    /// would hold. `tree` must be the tree the tables were gathered for.
-    pub fn y_value(&self, tree: &Tree, v: NodeId, l: usize, i: usize, color: Color) -> f64 {
-        if !self.y_elided(v) {
-            return self.node(v).y(l, i, color);
-        }
-        let rho = self.rho[self.rho_off[v] + l];
-        let load = tree.load(v) as f64;
-        let children = tree.children(v);
-        match (color, children.first()) {
-            // Leaf base case (fill_leaf).
-            (Color::Red, None) => rho * load,
-            (Color::Blue, None) => {
-                if tree.available(v) && i >= 1 {
-                    rho
-                } else {
-                    INF
-                }
-            }
-            // Single child: Y = Y^1, the first-child fold (no split recorded).
-            (Color::Red, Some(&c)) => self.x(c, l + 1, i) + rho * load,
-            (Color::Blue, Some(&c)) => {
-                if tree.available(v) && i >= 1 {
-                    self.x(c, 1, i - 1) + rho
-                } else {
-                    INF
-                }
-            }
-        }
-    }
-
-    /// Shorthand for `X_v(ℓ, i)`.
+    /// Shorthand for `X_v(ℓ, i)` (clamped to the node's last column).
     pub fn x(&self, v: NodeId, l: usize, i: usize) -> f64 {
         self.node(v).x(l, i)
     }
 
-    /// Shorthand for the final-stage `Y_v(ℓ, i, color)`.
+    /// Shorthand for the final-stage `Y_v(ℓ, i, color)` (clamped to the node's
+    /// last column).
     pub fn y(&self, v: NodeId, l: usize, i: usize, color: Color) -> f64 {
         self.node(v).y(l, i, color)
     }
@@ -617,7 +548,8 @@ impl GatherTables {
     pub fn optimum(&self) -> (usize, f64) {
         let mut best_i = 0;
         let mut best = self.optimum_with_exactly(0);
-        for i in 1..=self.k {
+        // Columns past the root's last one repeat it, so they cannot improve.
+        for i in 1..self.n_i[soar_topology::ROOT] as usize {
             let value = self.optimum_with_exactly(i);
             if value < best - 1e-12 {
                 best = value;
@@ -635,7 +567,7 @@ impl GatherTables {
     /// Number of `X(ℓ, i)` cells of node `v`'s table — what one refill of the
     /// node writes (the unit of the incremental-update work measure).
     pub(crate) fn node_cells(&self, v: NodeId) -> usize {
-        self.n_l[v] as usize * self.n_i
+        self.n_l[v] as usize * self.n_i[v] as usize
     }
 
     /// Number of rows (`ℓ` values) of node `v`'s table: `D(v) + 2` under the
@@ -649,8 +581,8 @@ impl GatherTables {
         self.level_ranges.len()
     }
 
-    /// Total number of `X(ℓ, i)` cells across all per-switch tables — the work
-    /// measure behind the `O(n · h(T) · k²)` bound, reported by
+    /// Total number of stored `X(ℓ, i)` cells across all per-switch tables,
+    /// `Σ_v (D(v) + 2) · (min(k, s_v) + 1)` — the work measure reported by
     /// [`crate::api::DpStats`].
     pub fn table_cells(&self) -> usize {
         self.x.len()
@@ -670,11 +602,6 @@ impl GatherTables {
         (self.x.capacity() + self.y_blue.capacity() + self.y_red.capacity() + self.rho.capacity())
             * 8
             + self.splits.capacity() * 4
-    }
-
-    /// Whether this layout elides ≤1-child nodes' `Y` rows.
-    pub fn is_compressed(&self) -> bool {
-        self.compressed
     }
 
     /// Releases arena capacity beyond the current layout (shrink-by-truncate):
@@ -699,15 +626,14 @@ impl GatherTables {
         trim!(self.rho);
         trim!(self.splits);
         trim!(self.n_l);
+        trim!(self.n_i);
         trim!(self.cell_off);
-        trim!(self.y_off);
         trim!(self.rho_off);
         trim!(self.split_off);
         trim!(self.split_len);
         trim!(self.level_nodes);
         trim!(self.level_ranges);
         trim!(self.level_cell_end);
-        trim!(self.level_y_end);
         trim!(self.level_split_end);
         shrunk
     }
@@ -735,6 +661,13 @@ mod tests {
         assert_eq!(t.n_split_children(), 1);
     }
 
+    /// `Σ_v (D(v) + 2) · (min(k, s_v) + 1)`, from the tree alone.
+    fn capped_cells(tree: &Tree, k: usize) -> usize {
+        tree.node_ids()
+            .map(|v| (tree.dist_to_dest(v) + 1) * (tree.subtree_size(v).min(k) + 1))
+            .sum()
+    }
+
     #[test]
     fn gather_tables_shape_follows_tree() {
         let tree = builders::complete_binary_tree(7);
@@ -743,13 +676,44 @@ mod tests {
         // Root: D = 0 → 2 rows; leaves: D = 2 → 4 rows.
         assert_eq!(tables.node(0).n_l, 2);
         assert_eq!(tables.node(3).n_l, 4);
+        // Columns: min(k, s_v) + 1 — the root (s = 7) and the internal
+        // switches (s = 3) are capped by k = 2, the leaves (s = 1) by s_v.
         assert_eq!(tables.node(0).n_i, 3);
+        assert_eq!(tables.node(1).n_i, 3);
+        assert_eq!(tables.node(3).n_i, 2);
         // Binary internal nodes record one split block (for child m = 2).
         assert_eq!(tables.node(0).n_split_children(), 1);
         assert_eq!(tables.node(3).n_split_children(), 0);
         assert!(tables.memory_bytes() > 0);
-        // Total cells: Σ (D(v) + 2)(k + 1) = (2 + 2·3 + 4·4) · 3.
-        assert_eq!(tables.table_cells(), (2 + 2 * 3 + 4 * 4) * 3);
+        // Total cells: 2·3 (root) + 2·(3·3) (internal) + 4·(4·2) (leaves).
+        assert_eq!(tables.table_cells(), 2 * 3 + 2 * (3 * 3) + 4 * (4 * 2));
+        assert_eq!(tables.table_cells(), capped_cells(&tree, 2));
+    }
+
+    #[test]
+    fn capped_widths_match_the_layout_formula() {
+        let shapes = [
+            builders::complete_binary_tree_bt(4096),
+            builders::complete_kary_tree(16, 4369),
+            builders::path(40),
+            builders::star(50),
+            builders::caterpillar(9, 4),
+        ];
+        for tree in &shapes {
+            for k in [0usize, 1, 5, 16, 100] {
+                let tables = GatherTables::new(tree, k);
+                assert_eq!(tables.table_cells(), capped_cells(tree, k));
+                for v in tree.node_ids() {
+                    assert_eq!(tables.node(v).n_i, tree.subtree_size(v).min(k) + 1);
+                }
+            }
+        }
+        // The BT(4096), k = 16 table behind `solve-mix`: 835,584 cells at
+        // uniform k + 1 columns, 223,232 capped.
+        let bt = &shapes[0];
+        assert_eq!(GatherTables::new(bt, 16).table_cells(), 223_232);
+        let uniform: usize = bt.node_ids().map(|v| (bt.dist_to_dest(v) + 1) * 17).sum();
+        assert_eq!(uniform, 835_584);
     }
 
     #[test]
@@ -772,15 +736,15 @@ mod tests {
         let tree = builders::complete_binary_tree(31);
         let mut tables = GatherTables::new(&tree, 4);
         // Warm: same tree and budget → zero growth.
-        assert_eq!(tables.reset(&tree, 4, false), 0);
+        assert_eq!(tables.reset(&tree, 4), 0);
         // Smaller budget shrinks in place.
-        assert_eq!(tables.reset(&tree, 2, false), 0);
+        assert_eq!(tables.reset(&tree, 2), 0);
         assert_eq!(tables.k, 2);
         // Growing again within the original capacity is also allocation-free.
-        assert_eq!(tables.reset(&tree, 4, false), 0);
+        assert_eq!(tables.reset(&tree, 4), 0);
         // A genuinely larger shape grows.
         let big = builders::complete_binary_tree(63);
-        assert!(tables.reset(&big, 4, false) > 0);
+        assert!(tables.reset(&big, 4) > 0);
     }
 
     #[test]

@@ -46,15 +46,6 @@ use std::cell::RefCell;
 /// small trees hold too few cells to amortize even a mutex-guarded deque push).
 pub const PARALLEL_GATHER_MIN_SWITCHES: usize = 2048;
 
-/// From this many switches on, the gather arena elides the `Y` blocks of
-/// leaves and single-child chain nodes (see
-/// [`GatherTables::y_value`](crate::tables::GatherTables::y_value)): memory
-/// then scales with the tree's *effective width* (multi-child nodes) rather
-/// than its node count — on a path-heavy 1M-switch tree the arena roughly
-/// halves. Below the threshold the full arena is cheap and keeps every `Y`
-/// row addressable for inspection.
-pub const COMPRESS_MIN_SWITCHES: usize = 65_536;
-
 /// A pass whose reserved capacity exceeds its live working set by this factor
 /// counts towards the shrink-on-idle streak.
 const SHRINK_FACTOR: usize = 8;
@@ -99,9 +90,6 @@ pub struct SolverWorkspace {
     kernel: DpKernel,
     /// The env-combined kernel choice, looked up once per workspace lifetime.
     resolved_kernel: Option<DpKernel>,
-    /// `Some(_)` forces arena compression on or off; `None` auto-enables it at
-    /// [`COMPRESS_MIN_SWITCHES`].
-    compress_override: Option<bool>,
     /// Effective (resolved) kernel of the most recent gather.
     last_kernel: DpKernel,
     /// Column tiles executed by the most recent gather (tiled kernel only).
@@ -122,12 +110,11 @@ impl SolverWorkspace {
     /// next gather or solve on this workspace.
     pub fn gather(&mut self, tree: &Tree, k: usize) -> &GatherTables {
         let kernel = self.begin_pass();
-        let compressed = self.compress_for(tree);
         let mut events;
         {
             let _reset = soar_obs::span!("ws_reset", tree.n_switches());
             events = self.maybe_shrink();
-            events += self.tables.reset(tree, k, compressed);
+            events += self.tables.reset(tree, k);
         }
         if self.scratches.is_empty() {
             self.scratches.push(DpScratch::new());
@@ -216,12 +203,11 @@ impl SolverWorkspace {
     /// [`run_gather_parallel`](crate::gather)).
     pub fn gather_parallel(&mut self, tree: &Tree, k: usize, pool: &ThreadPool) -> &GatherTables {
         let kernel = self.begin_pass();
-        let compressed = self.compress_for(tree);
         let mut events;
         {
             let _reset = soar_obs::span!("ws_reset", tree.n_switches());
             events = self.maybe_shrink();
-            events += self.tables.reset(tree, k, compressed);
+            events += self.tables.reset(tree, k);
         }
         events += run_gather_parallel(&mut self.tables, tree, &mut self.scratches, pool, kernel);
         let cells = self.tables.table_cells();
@@ -337,13 +323,6 @@ impl SolverWorkspace {
         self.resolved_kernel = None;
     }
 
-    /// Forces arena compression on (`Some(true)`), off (`Some(false)`), or
-    /// back to the size-based default (`None`, the
-    /// [`COMPRESS_MIN_SWITCHES`] threshold).
-    pub fn set_compression(&mut self, compress: Option<bool>) {
-        self.compress_override = compress;
-    }
-
     /// Name of the effective kernel the most recent gather ran
     /// (`"scalar" | "pruned" | "tiled"`; `"auto"` before the first gather).
     pub fn last_kernel_name(&self) -> &'static str {
@@ -385,12 +364,6 @@ impl SolverWorkspace {
             scratch.reset_kernel_counters();
         }
         kernel
-    }
-
-    /// Whether a gather over `tree` lays out a compressed arena.
-    fn compress_for(&self, tree: &Tree) -> bool {
-        self.compress_override
-            .unwrap_or(tree.n_switches() >= COMPRESS_MIN_SWITCHES)
     }
 
     /// Releases every retained buffer (arena and scratch), returning the
@@ -690,12 +663,12 @@ mod tests {
 
     #[test]
     fn big_arena_is_truncated_after_a_short_oversized_streak() {
-        // A ~hundred-megabyte arena (BT over 16k switches at k = 16) crosses
+        // A ~hundred-megabyte arena (BT over 64k switches at k = 16) crosses
         // SHRINK_BIG_BYTES: after only SHRINK_BIG_AFTER_PASSES small passes the
         // workspace must truncate to the live working set instead of waiting
         // out the full 16-pass streak — and the truncation must be visible to
         // the allocation accounting.
-        let big = builders::complete_binary_tree_bt(16_384);
+        let big = builders::complete_binary_tree_bt(65_536);
         let small = fig2_tree();
         let mut ws = SolverWorkspace::new();
         let _ = ws.gather(&big, 16);
@@ -745,28 +718,6 @@ mod tests {
             );
             assert_eq!(ws.last_kernel_name(), kernel.resolve().name());
         }
-    }
-
-    #[test]
-    fn compressed_workspace_solves_identically() {
-        let mut tree = builders::complete_binary_tree(63);
-        for (i, v) in tree.leaves().collect::<Vec<_>>().into_iter().enumerate() {
-            tree.set_load(v, (i % 9 + 1) as u64);
-        }
-        let mut full = SolverWorkspace::new();
-        full.set_compression(Some(false));
-        let mut compressed = SolverWorkspace::new();
-        compressed.set_compression(Some(true));
-        for k in [0usize, 3, 8] {
-            let a = full.solve(&tree, k);
-            let b = compressed.solve(&tree, k);
-            assert_eq!(a, b, "compressed solve diverged at k = {k}");
-        }
-        assert!(compressed.tables().is_compressed());
-        assert!(
-            compressed.tables().memory_bytes() < full.tables().memory_bytes(),
-            "compression must actually drop Y storage"
-        );
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Property tests: every `mCost` kernel is **bit-identical** to the scalar
-//! reference, and the compressed arena solves identically to the full one.
+//! reference, and the capped arena (node `v` stores `min(k, s_v) + 1`
+//! columns) holds exactly what uniform `k + 1`-column tables hold.
 //!
 //! The pruned and tiled kernels claim *exactness*, not approximation: the
 //! effective-width cap, the tail early-exit and the tile-skip bound only ever
@@ -13,9 +14,11 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use soar_core::node_dp::{child_budgets, decide_color, fill_node, DpScratch, NodeTableMut};
 use soar_core::workspace::SolverWorkspace;
-use soar_core::{DpKernel, GatherTables};
-use soar_topology::{builders, Tree};
+use soar_core::{brute_force, Color, DpKernel, GatherTables, NodeTable};
+use soar_reduce::Coloring;
+use soar_topology::{builders, NodeId, Tree, ROOT};
 
 /// Randomizes the DP inputs: loads everywhere (internal nodes included),
 /// non-uniform rates, and a sprinkling of unavailable switches.
@@ -33,12 +36,106 @@ fn randomize(tree: &mut Tree, rng: &mut StdRng) {
     }
 }
 
-fn gather_with(tree: &Tree, k: usize, kernel: DpKernel, compressed: bool) -> GatherTables {
+fn gather_with(tree: &Tree, k: usize, kernel: DpKernel) -> GatherTables {
     let mut ws = SolverWorkspace::new();
     ws.set_kernel(kernel);
-    ws.set_compression(Some(compressed));
     let _ = ws.gather(tree, k);
     ws.into_tables()
+}
+
+/// The uncapped reference: every switch's table as an owned [`NodeTable`]
+/// with uniform `k + 1` columns, filled bottom-up with `kernel` — the layout
+/// the arena used before widths were capped.
+fn uniform_tables(tree: &Tree, k: usize, kernel: DpKernel) -> Vec<NodeTable> {
+    let mut tables: Vec<Option<NodeTable>> = vec![None; tree.n_switches()];
+    let mut scratch = DpScratch::new();
+    for v in tree.post_order() {
+        let children = tree.children(v);
+        let rho = tree.path_rho(v);
+        let mut table = NodeTable::new(rho.len(), k + 1, children.len(), rho.clone());
+        fill_node(
+            NodeTableMut {
+                x: &mut table.x,
+                y_blue: &mut table.y_blue,
+                y_red: &mut table.y_red,
+                splits: &mut table.splits,
+            },
+            &rho,
+            tree.load(v),
+            tree.available(v),
+            k + 1,
+            children.len(),
+            children
+                .iter()
+                .map(|&c| tables[c].as_ref().unwrap().x.as_slice()),
+            &mut scratch,
+            kernel,
+        );
+        tables[v] = Some(table);
+    }
+    tables.into_iter().map(Option::unwrap).collect()
+}
+
+/// Asserts that every `X`, `Y` and split read of the capped arena, at every
+/// `i ≤ k`, is bitwise the uniform table's — which at `i > s_v` also pins the
+/// plateau the clamped reads rely on.
+fn assert_capped_matches_uniform(tree: &Tree, capped: &GatherTables, uniform: &[NodeTable]) {
+    let k = capped.k;
+    for v in tree.node_ids() {
+        let view = capped.node(v);
+        let full = &uniform[v];
+        assert_eq!(view.n_i, tree.subtree_size(v).min(k) + 1, "node {v} width");
+        for l in 0..full.n_l {
+            for i in 0..=k {
+                let at = format!("node {v}, l = {l}, i = {i}, k = {k}");
+                assert_eq!(view.x(l, i).to_bits(), full.x(l, i).to_bits(), "X at {at}");
+                for color in [Color::Blue, Color::Red] {
+                    let (a, b) = (view.y(l, i, color), full.y(l, i, color));
+                    assert_eq!(a.to_bits(), b.to_bits(), "Y {color:?} at {at}");
+                    for m in 2..=tree.n_children(v) {
+                        assert_eq!(
+                            view.split(m, l, i, color),
+                            full.split(m, l, i, color),
+                            "split m = {m}, {color:?} at {at}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// SOAR-Color over the uniform owned tables, with the same rules as
+/// `soar_core::color` — the uncapped traceback the capped one must reproduce.
+fn trace_uniform(tree: &Tree, tables: &[NodeTable], i: usize) -> Coloring {
+    let mut coloring = Coloring::all_red(tree.n_switches());
+    let mut stack: Vec<(NodeId, usize, usize)> = vec![(ROOT, i, 1)];
+    while let Some((v, budget, l)) = stack.pop() {
+        let table = &tables[v];
+        if tree.is_leaf(v) {
+            if budget > 0
+                && tree.available(v)
+                && table.y(l, budget, Color::Blue) <= table.y(l, budget, Color::Red)
+            {
+                coloring.set_blue(v);
+            }
+            continue;
+        }
+        let color = decide_color(table, l, budget);
+        if color == Color::Blue {
+            coloring.set_blue(v);
+        }
+        let child_l = if color == Color::Blue { 1 } else { l + 1 };
+        let children = tree.children(v);
+        for (&c, share) in
+            children
+                .iter()
+                .zip(child_budgets(table, children.len(), l, budget, color))
+        {
+            stack.push((c, share, child_l));
+        }
+    }
+    coloring
 }
 
 /// The shapes under test. Budgets are chosen to straddle the SIMD lane width
@@ -68,9 +165,9 @@ fn pruned_and_tiled_kernels_are_bit_identical_to_scalar() {
     let mut rng = StdRng::seed_from_u64(0x50AB);
     for (name, tree) in shapes(&mut rng) {
         for k in [0usize, 3, 4, 16, 63, 64] {
-            let reference = gather_with(&tree, k, DpKernel::Scalar, false);
+            let reference = gather_with(&tree, k, DpKernel::Scalar);
             for kernel in [DpKernel::Pruned, DpKernel::Tiled, DpKernel::Auto] {
-                let candidate = gather_with(&tree, k, kernel, false);
+                let candidate = gather_with(&tree, k, kernel);
                 assert_eq!(
                     candidate,
                     reference,
@@ -83,48 +180,70 @@ fn pruned_and_tiled_kernels_are_bit_identical_to_scalar() {
 }
 
 #[test]
-fn compressed_arena_solves_and_y_values_match_the_full_arena() {
+fn capped_arena_matches_uniform_width_tables_under_every_kernel() {
     let mut rng = StdRng::seed_from_u64(0xC0DE);
     for (name, tree) in shapes(&mut rng) {
         for k in [2usize, 7, 65] {
-            let mut full_ws = SolverWorkspace::new();
-            full_ws.set_compression(Some(false));
-            let full_solution = full_ws.solve(&tree, k);
+            let uniform = uniform_tables(&tree, k, DpKernel::Scalar);
+            for kernel in [DpKernel::Scalar, DpKernel::Pruned, DpKernel::Tiled] {
+                let capped = gather_with(&tree, k, kernel);
+                assert!(
+                    capped.table_cells() <= tree.n_switches() * (tree.height() + 2) * (k + 1),
+                    "{name}: capped arena larger than the uniform one"
+                );
+                assert_capped_matches_uniform(&tree, &capped, &uniform);
+            }
+        }
+    }
+}
 
-            let mut comp_ws = SolverWorkspace::new();
-            comp_ws.set_compression(Some(true));
-            let comp_solution = comp_ws.solve(&tree, k);
-
-            // Compressed tables are structurally smaller, so compare the
-            // *solve*: identical cost, identical coloring.
+#[test]
+fn capped_solves_match_the_uniform_path_and_brute_force() {
+    // Random trees with unavailable switches, at budgets below, at and past
+    // the root's subtree size (k = n + 5 reads only clamped columns at the
+    // root). Costs must agree bit for bit, colorings exactly, and both must
+    // equal the exhaustive optimum where enumerating subsets is tractable.
+    let mut rng = StdRng::seed_from_u64(0xCA9);
+    for round in 0..24 {
+        let n = rng.random_range(1..=40);
+        let mut tree = builders::random_tree(n, &mut rng);
+        randomize(&mut tree, &mut rng);
+        let budgets = [0, 1, n.saturating_sub(1), n, n + 5];
+        for k in budgets {
+            let uniform = uniform_tables(&tree, k, DpKernel::Scalar);
+            let mut ws = SolverWorkspace::new();
+            let solution = ws.solve(&tree, k);
+            assert_capped_matches_uniform(&tree, ws.tables(), &uniform);
+            // The uncapped optimum: the first strict minimum of X_r(1, i), i ≤ k.
+            let mut best = (0, uniform[ROOT].x(1, 0));
+            for i in 1..=k {
+                if uniform[ROOT].x(1, i) < best.1 - 1e-12 {
+                    best = (i, uniform[ROOT].x(1, i));
+                }
+            }
+            let at = format!("round {round}, n = {n}, k = {k}");
+            assert_eq!(ws.tables().optimum(), best, "optimum at {at}");
+            assert_eq!(solution.cost.to_bits(), best.1.to_bits(), "cost at {at}");
             assert_eq!(
-                comp_solution, full_solution,
-                "compressed solve diverged on {name} at k = {k}"
+                solution.coloring,
+                trace_uniform(&tree, &uniform, best.0),
+                "coloring at {at}"
             );
-
-            // And the on-demand Y recomputation must be bit-identical to the
-            // rows the full arena stored — spot-check every elided node.
-            let full = full_ws.tables();
-            let comp = comp_ws.tables();
-            assert!(comp.is_compressed());
-            for v in 0..tree.n_switches() {
-                if !comp.y_elided(v) {
-                    continue;
-                }
-                for l in 0..=tree.dist_to_dest(v) {
-                    for i in 0..=k {
-                        for color in [soar_core::Color::Blue, soar_core::Color::Red] {
-                            let stored = full.y(v, l, i, color);
-                            let recomputed = comp.y_value(&tree, v, l, i, color);
-                            assert!(
-                                stored.to_bits() == recomputed.to_bits(),
-                                "y_value diverged on {name} at k = {k}: \
-                                 node {v}, l = {l}, i = {i}, {color:?}: \
-                                 stored {stored}, recomputed {recomputed}"
-                            );
-                        }
-                    }
-                }
+            for i in [0, k / 2, k] {
+                assert_eq!(
+                    soar_core::soar_color_exact(&tree, ws.tables(), i),
+                    trace_uniform(&tree, &uniform, i),
+                    "exact-{i} coloring at {at}"
+                );
+            }
+            if n <= 14 {
+                let oracle = brute_force(&tree, k);
+                assert!(
+                    (oracle.cost - solution.cost).abs() <= 1e-9 * oracle.cost.max(1.0),
+                    "brute force {} vs SOAR {} at {at}",
+                    oracle.cost,
+                    solution.cost
+                );
             }
         }
     }
@@ -141,7 +260,6 @@ fn incremental_updates_preserve_kernel_identity() {
     for kernel in [DpKernel::Scalar, DpKernel::Pruned, DpKernel::Tiled] {
         let mut ws = SolverWorkspace::new();
         ws.set_kernel(kernel);
-        ws.set_compression(Some(false));
         let _ = ws.gather(&tree, 6);
         // Touch one leaf; its root path is the ancestor-closed dirty set.
         let leaf = tree.leaves().last().unwrap();
@@ -153,7 +271,7 @@ fn incremental_updates_preserve_kernel_identity() {
             v = p;
         }
         let updated = ws.gather_update(&tree, 6, &dirty);
-        let fresh = gather_with(&tree, 6, kernel, false);
+        let fresh = gather_with(&tree, 6, kernel);
         assert_eq!(
             *updated,
             fresh,

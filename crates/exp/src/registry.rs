@@ -400,7 +400,8 @@ fn obs_bench() -> ExperimentSpec {
 
 fn gather_scale(scale: Scale) -> ExperimentSpec {
     // Shallow 16-ary trees: the datacenter-fabric shape, and the regime where
-    // arena compression and the pruned/tiled kernels earn their keep. Quick
+    // subtree-capped table widths and the pruned/tiled kernels earn their
+    // keep (~94% of switches are leaves with two columns). Quick
     // (the `scale-smoke` CI gate) runs 100k switches; paper runs the full
     // 100k → 1M sweep.
     let sizes = match scale {
@@ -409,7 +410,7 @@ fn gather_scale(scale: Scale) -> ExperimentSpec {
     };
     ExperimentSpec::new(
         "gather-scale",
-        "Large-tree gather scaling (100k-1M switches, 16-ary, compressed arena)",
+        "Large-tree gather scaling (100k-1M switches, 16-ary, subtree-capped arena)",
         1,
         ExperimentKind::GatherMicrobench {
             sizes,

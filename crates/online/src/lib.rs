@@ -102,6 +102,8 @@ pub enum OnlineError {
     /// A `LinkRateChange` carried a non-positive or non-finite rate for the
     /// up-link of this switch.
     InvalidRate(NodeId),
+    /// A `BudgetChange` asked for more blue switches than the tree has.
+    InvalidBudget(usize),
 }
 
 impl fmt::Display for OnlineError {
@@ -118,6 +120,9 @@ impl fmt::Display for OnlineError {
                     f,
                     "link-rate change for switch {v} is not a positive finite rate"
                 )
+            }
+            OnlineError::InvalidBudget(k) => {
+                write!(f, "budget {k} exceeds the tree's switch count")
             }
         }
     }
@@ -311,6 +316,9 @@ impl DynamicInstance {
                 }
             }
             ChurnEvent::BudgetChange { budget } => {
+                if *budget > n {
+                    return Err(OnlineError::InvalidBudget(*budget));
+                }
                 if self.budget != *budget {
                     self.budget = *budget;
                     self.dirty.budget_changed = true;
@@ -985,6 +993,29 @@ mod tests {
         assert_eq!(instance.budget(), 6);
         // Raising the budget cannot hurt.
         assert!(report.epochs[1].cost <= report.epochs[0].cost + 1e-9);
+    }
+
+    #[test]
+    fn budget_above_the_switch_count_is_rejected_and_changes_nothing() {
+        let tree = bt_with_loads(64, 6);
+        let n = tree.n_switches();
+        let mut instance = DynamicInstance::new(&tree, 3);
+        let mut solver = IncrementalSolver::new();
+        let _ = solver.solve_epoch(&mut instance);
+        assert_eq!(
+            instance.apply(&ChurnEvent::BudgetChange { budget: n + 1 }),
+            Err(OnlineError::InvalidBudget(n + 1))
+        );
+        assert_eq!(instance.budget(), 3);
+        // The rejected event dirtied nothing: the next epoch stays incremental.
+        let outcome = solver.solve_epoch(&mut instance);
+        assert!(outcome.incremental);
+        assert_eq!(outcome.dp.cells_written, 0);
+        // Every switch blue is the largest valid budget.
+        instance
+            .apply(&ChurnEvent::BudgetChange { budget: n })
+            .unwrap();
+        assert_eq!(instance.budget(), n);
     }
 
     #[test]

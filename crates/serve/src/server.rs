@@ -845,6 +845,7 @@ fn online_error(e: &OnlineError) -> ErrorCode {
         }
         OnlineError::DuplicateTenant(_) => ErrorCode::DuplicateTenant,
         OnlineError::UnknownTenant(_) => ErrorCode::UnknownTenant,
+        OnlineError::InvalidBudget(_) => ErrorCode::BadRequest,
     }
 }
 
@@ -933,6 +934,12 @@ fn process_barrier(shared: &Arc<Shared>, work: Work) {
                 let entry = Arc::new(TenantEntry::new(instance, 0, params));
                 use std::collections::hash_map::Entry;
                 match shared.tenants.write().unwrap().entry(tenant) {
+                    // Checked before the WAL append: a rejected register
+                    // leaves no record behind.
+                    _ if budget > n_switches => fail(
+                        format!("budget {budget} exceeds the tenant's {n_switches} switches"),
+                        ErrorCode::BadRequest,
+                    ),
                     Entry::Occupied(_) => fail(
                         format!("tenant {tenant} is already resident"),
                         ErrorCode::DuplicateTenant,
@@ -1134,41 +1141,49 @@ fn process_tenant_work(shared: &Arc<Shared>, work: Work) {
         }
         RequestBody::Sweep { budgets, .. } => {
             let state = entry.state.lock().unwrap();
-            let _sweep = soar_obs::span!("serve_sweep", tenant);
-            let sweep_started = Instant::now();
+            let n_switches = state.instance.n_switches();
             let kmax = budgets.iter().copied().max().unwrap_or(0) as usize;
-            let (costs, cells, allocs) = with_thread_workspace(|ws| {
-                // One gather at the largest budget serves every requested k:
-                // the optimum at budget k is the running minimum of
-                // X_r(1, i) over i ≤ k (the sweep identity from soar-core).
-                ws.gather_auto(state.instance.tree(), kmax);
-                let mut best = f64::INFINITY;
-                let mut by_exact = vec![f64::INFINITY; kmax + 1];
-                for (i, slot) in by_exact.iter_mut().enumerate() {
-                    best = best.min(ws.tables().optimum_with_exactly(i));
-                    *slot = best;
-                }
-                let costs: Vec<(u32, f64)> = budgets
-                    .iter()
-                    .map(|&k| (k, by_exact[(k as usize).min(kmax)]))
-                    .collect();
-                (
-                    costs,
-                    ws.last_cells_written() as u64,
-                    ws.last_alloc_events() as u64,
-                )
-            });
-            drop(state);
-            add(&shared.metrics.sweeps, 1);
-            add(&shared.metrics.cells_written, cells);
-            add(&shared.metrics.alloc_events, allocs);
-            add(&entry.solves, 1);
-            add(&entry.solve_ns, sweep_started.elapsed().as_nanos() as u64);
-            respond(ResponseBody::SweepResult { tenant, costs });
-            shared
-                .metrics
-                .solve_latency
-                .record(enqueued.elapsed().as_nanos() as u64);
+            if kmax > n_switches {
+                drop(state);
+                add(&shared.metrics.errors, 1);
+                respond(ResponseBody::Error {
+                    code: ErrorCode::BadRequest,
+                    message: format!("budget {kmax} exceeds the tenant's {n_switches} switches"),
+                });
+            } else {
+                let _sweep = soar_obs::span!("serve_sweep", tenant);
+                let sweep_started = Instant::now();
+                let (costs, cells, allocs) = with_thread_workspace(|ws| {
+                    // One gather at the largest budget serves every requested k:
+                    // the optimum at budget k is the running minimum of
+                    // X_r(1, i) over i ≤ k (the sweep identity from soar-core).
+                    ws.gather_auto(state.instance.tree(), kmax);
+                    let mut best = f64::INFINITY;
+                    let mut by_exact = vec![f64::INFINITY; kmax + 1];
+                    for (i, slot) in by_exact.iter_mut().enumerate() {
+                        best = best.min(ws.tables().optimum_with_exactly(i));
+                        *slot = best;
+                    }
+                    let costs: Vec<(u32, f64)> =
+                        budgets.iter().map(|&k| (k, by_exact[k as usize])).collect();
+                    (
+                        costs,
+                        ws.last_cells_written() as u64,
+                        ws.last_alloc_events() as u64,
+                    )
+                });
+                drop(state);
+                add(&shared.metrics.sweeps, 1);
+                add(&shared.metrics.cells_written, cells);
+                add(&shared.metrics.alloc_events, allocs);
+                add(&entry.solves, 1);
+                add(&entry.solve_ns, sweep_started.elapsed().as_nanos() as u64);
+                respond(ResponseBody::SweepResult { tenant, costs });
+                shared
+                    .metrics
+                    .solve_latency
+                    .record(enqueued.elapsed().as_nanos() as u64);
+            }
         }
         RequestBody::Register { .. }
         | RequestBody::Evict { .. }
@@ -1522,6 +1537,156 @@ mod tests {
         let final_snap = handle.join();
         assert_eq!(final_snap.evictions, 1);
         assert_eq!(final_snap.io_errors, 0);
+    }
+
+    fn is_bad_request(body: &ResponseBody) -> bool {
+        matches!(
+            body,
+            ResponseBody::Error {
+                code: ErrorCode::BadRequest,
+                ..
+            }
+        )
+    }
+
+    #[test]
+    fn register_with_budget_above_the_switch_count_is_rejected_without_a_wal_record() {
+        let dir = std::env::temp_dir().join(format!("soar-serve-{}-budget", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let handle = start(ServeConfig {
+            state_dir: Some(dir.clone()),
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let mut client = Client::connect(&handle.addr()).unwrap();
+        // The request that once made a solve try to allocate 39 GB of DP
+        // tables and abort the daemon: BT(4096) at budget 100000.
+        let register = |tenant, switches, budget| RequestBody::Register {
+            tenant,
+            switches,
+            budget,
+            seed: 3,
+        };
+        let resp = client
+            .call(&request(1, register(1, 4096, 100_000)))
+            .unwrap();
+        assert!(is_bad_request(&resp.body), "{resp:?}");
+        assert_eq!(
+            handle.snapshot().wal_records,
+            0,
+            "rejected register was logged"
+        );
+        let resp = client
+            .call(&request(2, RequestBody::Solve { tenant: 1 }))
+            .unwrap();
+        assert!(
+            matches!(
+                resp.body,
+                ResponseBody::Error {
+                    code: ErrorCode::UnknownTenant,
+                    ..
+                }
+            ),
+            "{resp:?}"
+        );
+        // Another tenant is still served; every switch blue is a valid budget.
+        let resp = client.call(&request(3, register(2, 64, 63))).unwrap();
+        assert_eq!(
+            resp.body,
+            ResponseBody::Registered {
+                tenant: 2,
+                n_switches: 63
+            }
+        );
+        let resp = client
+            .call(&request(4, RequestBody::Solve { tenant: 2 }))
+            .unwrap();
+        assert!(matches!(resp.body, ResponseBody::Solved(_)), "{resp:?}");
+
+        handle.shutdown();
+        let snap = handle.join();
+        assert_eq!(snap.wal_records, 1, "only the valid register was logged");
+        assert_eq!((snap.registers, snap.io_errors), (1, 0));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn sweep_with_a_budget_above_the_switch_count_is_rejected() {
+        let handle = start(ServeConfig::default()).unwrap();
+        let mut client = Client::connect(&handle.addr()).unwrap();
+        client
+            .call(&request(
+                1,
+                RequestBody::Register {
+                    tenant: 5,
+                    switches: 64,
+                    budget: 4,
+                    seed: 9,
+                },
+            ))
+            .unwrap();
+        let sweep = |budgets: Vec<u32>| RequestBody::Sweep { tenant: 5, budgets };
+        for budgets in [vec![1, 64], vec![u32::MAX]] {
+            let resp = client.call(&request(2, sweep(budgets))).unwrap();
+            assert!(is_bad_request(&resp.body), "{resp:?}");
+        }
+        let resp = client.call(&request(3, sweep(vec![1, 63]))).unwrap();
+        let ResponseBody::SweepResult { costs, .. } = &resp.body else {
+            panic!("{resp:?}");
+        };
+        assert_eq!(costs.len(), 2);
+        assert!(costs[1].1 <= costs[0].1);
+        handle.shutdown();
+        let snap = handle.join();
+        assert_eq!((snap.sweeps, snap.errors), (1, 2));
+    }
+
+    #[test]
+    fn budget_change_above_the_switch_count_fails_like_offline_replay() {
+        let handle = start(ServeConfig::default()).unwrap();
+        let mut client = Client::connect(&handle.addr()).unwrap();
+        client
+            .call(&request(
+                1,
+                RequestBody::Register {
+                    tenant: 6,
+                    switches: 64,
+                    budget: 4,
+                    seed: 2,
+                },
+            ))
+            .unwrap();
+        let events = vec![
+            ChurnEvent::LeafRateChange { leaf: 62, load: 9 },
+            ChurnEvent::BudgetChange { budget: 64 },
+            ChurnEvent::BudgetChange { budget: 5 },
+        ];
+        let resp = client
+            .call(&request(
+                2,
+                RequestBody::Churn {
+                    tenant: 6,
+                    seq: 1,
+                    events: events.clone(),
+                },
+            ))
+            .unwrap();
+        assert!(is_bad_request(&resp.body), "{resp:?}");
+        let resp = client
+            .call(&request(3, RequestBody::Solve { tenant: 6 }))
+            .unwrap();
+        let ResponseBody::Solved(outcome) = &resp.body else {
+            panic!("{resp:?}");
+        };
+        // Offline replay stops at the same event and solves the same state:
+        // the first event applied, the budget still 4.
+        let mut offline = build_tenant(64, 4, 2);
+        offline.apply(&events[0]).unwrap();
+        assert!(offline.apply(&events[1]).is_err());
+        assert_eq!(offline.budget(), 4);
+        assert_eq!(comparable(outcome), comparable(&solve_offline(&offline, 6)));
+        handle.shutdown();
+        assert_eq!(handle.join().io_errors, 0);
     }
 
     #[test]
