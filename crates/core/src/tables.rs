@@ -440,17 +440,9 @@ impl GatherTables {
             self.level_ranges[d].1 += 1;
         }
 
-        // Subtree sizes s_v, deepest level first (children before parents),
-        // accumulated in `n_i` and then capped to the column count.
-        self.n_i.fill(1);
-        for &v in self.level_nodes.iter().rev() {
-            if let Some(p) = tree.parent(v) {
-                self.n_i[p] += self.n_i[v];
-            }
-        }
-        for w in self.n_i.iter_mut() {
-            *w = (*w as usize).min(k) as u32 + 1;
-        }
+        // Subtree sizes s_v in `n_i`, each replaced by the node's column
+        // count as the node is placed.
+        subtree_sizes(tree, &mut self.n_i);
 
         // Arena offsets in level order.
         let (mut cells, mut rho_cells, mut split_cells) = (0usize, 0usize, 0usize);
@@ -458,17 +450,16 @@ impl GatherTables {
             let (start, end) = self.level_ranges[d];
             for idx in start..end {
                 let v = self.level_nodes[idx];
-                let n_l = tree.dist_to_dest(v) + 1;
-                self.n_l[v] = n_l as u32;
+                let block = NodeBlock::of(tree, v, self.n_i[v] as usize, k);
+                self.n_l[v] = block.n_l as u32;
+                self.n_i[v] = block.n_i as u32;
                 self.cell_off[v] = cells;
                 self.rho_off[v] = rho_cells;
                 self.split_off[v] = split_cells;
-                let node_cells = n_l * self.n_i[v] as usize;
-                let split_len = tree.n_children(v).saturating_sub(1) * node_cells * 2;
-                self.split_len[v] = split_len;
-                cells += node_cells;
-                rho_cells += n_l;
-                split_cells += split_len;
+                self.split_len[v] = block.split_len;
+                cells += block.cells();
+                rho_cells += block.n_l;
+                split_cells += block.split_len;
             }
             self.level_cell_end[d] = cells;
             self.level_split_end[d] = split_cells;
@@ -590,8 +581,24 @@ impl GatherTables {
 
     /// Total heap footprint of the arenas, in bytes.
     pub fn memory_bytes(&self) -> usize {
-        (self.x.len() + self.y_blue.len() + self.y_red.len() + self.rho.len()) * 8
-            + self.splits.len() * 4
+        arena_bytes(self.x.len(), self.rho.len(), self.splits.len())
+    }
+
+    /// [`Self::memory_bytes`] of the tables a gather of `tree` at budget `k`
+    /// lays out, computed from the shape alone without allocating the
+    /// arenas — what a caller that budgets memory checks before it commits
+    /// to a gather.
+    pub fn layout_bytes(tree: &Tree, k: usize) -> usize {
+        let mut sizes = vec![0; tree.n_switches()];
+        subtree_sizes(tree, &mut sizes);
+        let (mut cells, mut rho_cells, mut split_cells) = (0, 0, 0);
+        for (v, &s) in sizes.iter().enumerate() {
+            let block = NodeBlock::of(tree, v, s as usize, k);
+            cells += block.cells();
+            rho_cells += block.n_l;
+            split_cells += block.split_len;
+        }
+        arena_bytes(cells, rho_cells, split_cells)
     }
 
     /// Total *reserved* heap footprint of the arenas (capacity, not live cells),
@@ -602,6 +609,23 @@ impl GatherTables {
         (self.x.capacity() + self.y_blue.capacity() + self.y_red.capacity() + self.rho.capacity())
             * 8
             + self.splits.capacity() * 4
+    }
+
+    /// [`Self::capacity_bytes`] plus the reserved per-node and per-level
+    /// layout index: every heap byte these tables hold.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.capacity_bytes()
+            + (self.n_l.capacity() + self.n_i.capacity()) * size_of::<u32>()
+            + (self.cell_off.capacity()
+                + self.rho_off.capacity()
+                + self.split_off.capacity()
+                + self.split_len.capacity()
+                + self.level_nodes.capacity()
+                + self.level_cell_end.capacity()
+                + self.level_split_end.capacity())
+                * size_of::<usize>()
+            + self.level_ranges.capacity() * size_of::<(usize, usize)>()
     }
 
     /// Releases arena capacity beyond the current layout (shrink-by-truncate):
@@ -637,6 +661,52 @@ impl GatherTables {
         trim!(self.level_split_end);
         shrunk
     }
+}
+
+/// One node's blocks in the arenas at budget `k`: the single statement of
+/// the layout, which [`GatherTables::reset`] places and
+/// [`GatherTables::layout_bytes`] only sums.
+struct NodeBlock {
+    /// Rows `ℓ ∈ 0..=dist_to_dest(v)`, each with one ρ entry.
+    n_l: usize,
+    /// Columns `min(k, s_v) + 1`.
+    n_i: usize,
+    /// Split points: two per cell for every child after the first.
+    split_len: usize,
+}
+
+impl NodeBlock {
+    fn of(tree: &Tree, v: NodeId, subtree_size: usize, k: usize) -> Self {
+        let n_l = tree.dist_to_dest(v) + 1;
+        let n_i = subtree_size.min(k) + 1;
+        NodeBlock {
+            n_l,
+            n_i,
+            split_len: tree.n_children(v).saturating_sub(1) * n_l * n_i * 2,
+        }
+    }
+
+    /// Cells in each of the `X`, `Y_blue` and `Y_red` arenas.
+    fn cells(&self) -> usize {
+        self.n_l * self.n_i
+    }
+}
+
+/// Writes every node's subtree size `s_v` into `sizes` (one slot per
+/// switch). The tree stores parents before children, so the reversed id
+/// order visits children first.
+fn subtree_sizes(tree: &Tree, sizes: &mut [u32]) {
+    sizes.fill(1);
+    for v in (1..sizes.len()).rev() {
+        let p = tree.parent(v).expect("only the root lacks a parent");
+        sizes[p] += sizes[v];
+    }
+}
+
+/// Heap bytes of arenas with `cells` cells in each of `X`, `Y_blue` and
+/// `Y_red`, `rho_cells` ρ entries and `split_cells` split points.
+fn arena_bytes(cells: usize, rho_cells: usize, split_cells: usize) -> usize {
+    (3 * cells + rho_cells) * 8 + split_cells * 4
 }
 
 #[cfg(test)]
@@ -706,6 +776,15 @@ mod tests {
                 for v in tree.node_ids() {
                     assert_eq!(tables.node(v).n_i, tree.subtree_size(v).min(k) + 1);
                 }
+            }
+        }
+        // `layout_bytes` predicts the arenas of every shape without laying
+        // them out.
+        for tree in &shapes {
+            for k in [0usize, 1, 5, 16, 100] {
+                let tables = GatherTables::new(tree, k);
+                assert_eq!(GatherTables::layout_bytes(tree, k), tables.memory_bytes());
+                assert!(tables.heap_bytes() >= tables.memory_bytes());
             }
         }
         // The BT(4096), k = 16 table behind `solve-mix`: 835,584 cells at

@@ -315,6 +315,21 @@ impl SolverWorkspace {
         self.peak_bytes
     }
 
+    /// Heap bytes the workspace holds now: the reserved arenas and their
+    /// layout index, the DP scratch, the coloring and the traceback stack.
+    /// Unlike [`Self::peak_bytes`] it is the current footprint, and it counts
+    /// every buffer — what a caller keeping many workspaces warm budgets.
+    pub fn heap_bytes(&self) -> usize {
+        self.tables.heap_bytes()
+            + self
+                .scratches
+                .iter()
+                .map(DpScratch::memory_bytes)
+                .sum::<usize>()
+            + self.coloring.len()
+            + self.trace_stack.capacity() * std::mem::size_of::<(NodeId, usize, usize)>()
+    }
+
     /// Requests an `mCost` kernel for every subsequent gather on this
     /// workspace. The `SOAR_GATHER_KERNEL` environment variable, when set to a
     /// valid kernel name, still wins — it is the fleet-wide debugging override.

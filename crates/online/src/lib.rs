@@ -523,14 +523,14 @@ impl IncrementalSolver {
             self.shape = Some((n, k));
         }
         dirty.reset_epoch();
-        let (cost, _) = self.workspace.trace_best(tree);
-        EpochSolve {
-            cost,
-            all_red_cost: self.workspace.tables().optimum_with_exactly(0),
-            blue_used: self.workspace.coloring().n_blue(),
-            incremental,
-            dp: DpStats::from_workspace(&self.workspace),
-        }
+        trace_epoch(&mut self.workspace, tree, incremental)
+    }
+
+    /// Heap bytes this solver holds (see
+    /// [`SolverWorkspace::heap_bytes`](soar_core::workspace::SolverWorkspace::heap_bytes)):
+    /// what keeping it warm costs.
+    pub fn heap_bytes(&self) -> usize {
+        self.workspace.heap_bytes()
     }
 
     /// The placement of the most recent epoch (empty before the first).
@@ -542,6 +542,28 @@ impl IncrementalSolver {
     /// gather of the same snapshot would produce.
     pub fn tables(&self) -> &soar_core::GatherTables {
         self.workspace.tables()
+    }
+}
+
+/// Solves `instance` from scratch on a borrowed workspace — a shared,
+/// per-thread one, say — without consuming its dirty set: the cold
+/// counterpart of [`IncrementalSolver::solve_epoch`], bit-identical to it on
+/// the same snapshot.
+pub fn solve_full(workspace: &mut SolverWorkspace, instance: &DynamicInstance) -> EpochSolve {
+    workspace.gather_auto(instance.tree(), instance.budget());
+    trace_epoch(workspace, instance.tree(), false)
+}
+
+/// Traces the best coloring of the workspace's fresh tables and reads the
+/// epoch's outcome off them.
+fn trace_epoch(workspace: &mut SolverWorkspace, tree: &Tree, incremental: bool) -> EpochSolve {
+    let (cost, _) = workspace.trace_best(tree);
+    EpochSolve {
+        cost,
+        all_red_cost: workspace.tables().optimum_with_exactly(0),
+        blue_used: workspace.coloring().n_blue(),
+        incremental,
+        dp: DpStats::from_workspace(workspace),
     }
 }
 
@@ -1097,6 +1119,31 @@ mod tests {
         let _ = solver.solve_epoch(&mut restored);
         let first = solver.solve_epoch(&mut restored);
         assert!(first.incremental);
+    }
+
+    #[test]
+    fn solve_full_matches_an_epoch_and_leaves_the_dirty_set() {
+        let tree = bt_with_loads(128, 4);
+        let leaf = tree.leaves().next().unwrap();
+        let mut instance = DynamicInstance::new(&tree, 5);
+        let mut solver = IncrementalSolver::new();
+        solver.solve_epoch(&mut instance);
+        instance
+            .apply(&ChurnEvent::LeafRateChange { leaf, load: 50 })
+            .unwrap();
+        let mut workspace = SolverWorkspace::new();
+        let cold = solve_full(&mut workspace, &instance);
+        // The cold solve left the leaf's root path dirty for the epoch.
+        let warm = solver.solve_epoch(&mut instance);
+        assert!(warm.incremental && !cold.incremental);
+        assert!(warm.dp.cells_written > 0);
+        assert!(warm.dp.cells_written < cold.dp.cells_written);
+        assert_eq!(warm.cost.to_bits(), cold.cost.to_bits());
+        assert_eq!(warm.all_red_cost.to_bits(), cold.all_red_cost.to_bits());
+        assert_eq!(warm.blue_used, cold.blue_used);
+        assert_eq!(warm.dp.table_cells, cold.dp.table_cells);
+        assert_eq!(workspace.coloring(), solver.coloring());
+        assert!(solver.heap_bytes() > soar_core::GatherTables::layout_bytes(&tree, 5));
     }
 
     #[test]

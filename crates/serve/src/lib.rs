@@ -2,8 +2,9 @@
 //!
 //! The long-running SOAR service: a daemon that keeps thousands of tenants'
 //! [`DynamicInstance`](soar_online::DynamicInstance)s resident, applies churn
-//! and re-solves them on persistent warm
-//! [`SolverWorkspace`](soar_core::SolverWorkspace)s, and speaks a compact
+//! and re-solves them incrementally on per-tenant warm tables (or on
+//! persistent per-thread [`SolverWorkspace`](soar_core::SolverWorkspace)s
+//! when the warm budget is full), and speaks a compact
 //! length-prefixed binary protocol over TCP. This is the "serving" leg of the
 //! reproduction: SOAR's setting (Segal/Avin/Scalosub, CoNEXT 2021) is
 //! explicitly dynamic, and a service under load needs the
@@ -23,6 +24,8 @@
 //! * [`metrics`] — lock-free counters and latency histograms, snapshotted
 //!   into the JSON that `soar-loadtest` turns into a `BENCH_serve.json`
 //!   artifact for `soar history check`;
+//! * `warm` (crate-private) — per-tenant warm DP tables under one memory budget, so a
+//!   solve refills only the tables churn dirtied;
 //! * [`wal`] — crash-safe tenant state: a CRC-checked write-ahead log of
 //!   accepted registers/evicts/churn batches plus periodic snapshots, so
 //!   `soar serve --state-dir DIR --recover` resumes with solves bit-identical
@@ -54,6 +57,7 @@ pub mod metrics;
 pub mod protocol;
 pub mod server;
 pub mod wal;
+pub(crate) mod warm;
 
 pub use metrics::{LatencySummary, MetricsSnapshot, ServeMetrics};
 pub use protocol::{Request, RequestBody, Response, ResponseBody};

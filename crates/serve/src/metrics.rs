@@ -66,11 +66,26 @@ pub struct ServeMetrics {
     /// Wall time `--recover` spent reading the snapshot and replaying the WAL,
     /// in nanoseconds (0 when the daemon started fresh).
     pub recovery_replay_ns: AtomicU64,
-    /// DP cells written by solves/sweeps (`SolverWorkspace::last_cells_written`).
+    /// DP cells solves and sweeps actually filled: the whole table for a
+    /// cold solve or a sweep, only the refilled dirty closure for a solve on
+    /// warm tables. (Each [`SolveOutcome`](crate::protocol::SolveOutcome)
+    /// instead reports the size of the tables its answer was read from.)
     pub cells_written: AtomicU64,
-    /// Workspace heap allocation events — stays at the warm-up floor when the
-    /// per-thread workspaces actually run allocation-free.
+    /// Workspace heap allocation events. Cold solves run on warm per-thread
+    /// workspaces and stay at the warm-up floor; a tenant's first solve on
+    /// warm tables allocates them, and later ones allocate nothing.
     pub alloc_events: AtomicU64,
+    /// Solves answered on the tenant's warm tables (see the `warm` module).
+    pub warm_hits: AtomicU64,
+    /// Solves that found no warm tables: each either built them, when the
+    /// warm budget had room, or ran cold.
+    pub warm_misses: AtomicU64,
+    /// Warm tables released: by an `Evict`, or by a `BudgetChange` that
+    /// re-laid them out, at the tenant's next solve.
+    pub warm_evictions: AtomicU64,
+    /// Heap bytes all warm tables hold now: the one atomic the
+    /// `--warm-tables-mb` budget is enforced on, never above it.
+    pub warm_bytes: AtomicU64,
     /// Queue-wait + service latency of churn batches, in nanoseconds.
     pub churn_latency: LatencyHistogram,
     /// Queue-wait + service latency of solves/sweeps, in nanoseconds.
@@ -124,6 +139,10 @@ impl ServeMetrics {
             recovery_replay_ns: c(&self.recovery_replay_ns),
             cells_written: c(&self.cells_written),
             alloc_events: c(&self.alloc_events),
+            warm_hits: c(&self.warm_hits),
+            warm_misses: c(&self.warm_misses),
+            warm_evictions: c(&self.warm_evictions),
+            warm_bytes: c(&self.warm_bytes),
             queue_depth,
             resident_tenants,
             churn_latency: LatencySummary::of(&self.churn_latency),
@@ -194,6 +213,18 @@ pub struct MetricsSnapshot {
     pub cells_written: u64,
     /// Workspace allocation events.
     pub alloc_events: u64,
+    /// Solves answered on warm tables.
+    #[serde(default)]
+    pub warm_hits: u64,
+    /// Solves that found no warm tables.
+    #[serde(default)]
+    pub warm_misses: u64,
+    /// Warm tables released by an evict or a budget change.
+    #[serde(default)]
+    pub warm_evictions: u64,
+    /// Heap bytes held by warm tables at snapshot time.
+    #[serde(default)]
+    pub warm_bytes: u64,
     /// Global queue depth at snapshot time.
     pub queue_depth: usize,
     /// Resident tenants at snapshot time.
@@ -273,7 +304,7 @@ impl LatencySummary {
 /// histograms in `m` (same instant, full `_sum`/`_count` resolution).
 pub fn render_prom(snap: &MetricsSnapshot, m: &ServeMetrics) -> String {
     let mut w = PromWriter::new();
-    let counters: [(&str, &str, u64); 18] = [
+    let counters: [(&str, &str, u64); 21] = [
         (
             "soar_serve_conns_total",
             "connections accepted",
@@ -340,13 +371,28 @@ pub fn render_prom(snap: &MetricsSnapshot, m: &ServeMetrics) -> String {
         ),
         (
             "soar_serve_cells_written_total",
-            "DP cells written by solves",
+            "DP cells filled by solves and sweeps",
             snap.cells_written,
         ),
         (
             "soar_serve_alloc_events_total",
             "workspace allocation events",
             snap.alloc_events,
+        ),
+        (
+            "soar_serve_warm_hits_total",
+            "solves answered on warm tables",
+            snap.warm_hits,
+        ),
+        (
+            "soar_serve_warm_misses_total",
+            "solves that found no warm tables",
+            snap.warm_misses,
+        ),
+        (
+            "soar_serve_warm_evictions_total",
+            "warm tables released by an evict or a budget change",
+            snap.warm_evictions,
         ),
     ];
     for (name, help, value) in counters {
@@ -363,6 +409,12 @@ pub fn render_prom(snap: &MetricsSnapshot, m: &ServeMetrics) -> String {
         "resident tenants",
         "",
         snap.resident_tenants as f64,
+    );
+    w.gauge(
+        "soar_serve_warm_bytes",
+        "heap bytes held by warm tables",
+        "",
+        snap.warm_bytes as f64,
     );
     for t in &snap.top_tenants {
         let labels = format!("tenant=\"{}\"", t.tenant);
@@ -473,9 +525,21 @@ mod tests {
             }
             json.replace_range(start - 1..end, ""); // the leading comma too
         }
+        // The warm-table counters are plain numbers: strip `,"field":N`.
+        for field in [
+            "\"warm_hits\"",
+            "\"warm_misses\"",
+            "\"warm_evictions\"",
+            "\"warm_bytes\"",
+        ] {
+            let start = json.find(field).unwrap();
+            let end = start + json[start..].find(',').unwrap();
+            json.replace_range(start - 1..end, "");
+        }
         let back: MetricsSnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(back.queue_wait, LatencySummary::default());
         assert!(back.top_tenants.is_empty());
+        assert_eq!((back.warm_hits, back.warm_bytes), (0, 0));
     }
 
     #[test]
@@ -484,6 +548,8 @@ mod tests {
         add(&m.solves, 9);
         add(&m.events_applied, 123);
         add(&m.response_flushes, 4);
+        add(&m.warm_hits, 7);
+        add(&m.warm_bytes, 4096);
         m.solve_latency.record(50_000);
         let snap = m.snapshot(
             2,
@@ -500,6 +566,8 @@ mod tests {
         assert!(text.contains("soar_serve_events_applied_total 123\n"));
         assert!(text.contains("soar_serve_response_flushes_total 4\n"));
         assert!(text.contains("soar_serve_queue_depth 2\n"));
+        assert!(text.contains("soar_serve_warm_hits_total 7\n"));
+        assert!(text.contains("soar_serve_warm_bytes 4096\n"));
         assert!(text.contains("soar_serve_tenant_events_total{tenant=\"3\"} 123\n"));
         assert!(text.contains("# TYPE soar_serve_solve_latency_ns summary"));
         assert!(text.contains("soar_serve_solve_latency_ns_count 1\n"));

@@ -502,9 +502,16 @@ pub struct SolveOutcome {
     pub all_red_cost: f64,
     /// Blue switches used by the optimum.
     pub blue_used: u32,
-    /// DP cells written by this gather.
+    /// Cells of the DP tables the answer was read from
+    /// ([`DpStats::table_cells`](soar_core::api::DpStats::table_cells)). Warm
+    /// and cold solves of one state agree on it, so it is part of the
+    /// bit-identity check against an offline replay; the cells a warm solve
+    /// actually refilled are counted in
+    /// [`ServeMetrics::cells_written`](crate::metrics::ServeMetrics::cells_written).
     pub cells_written: u64,
-    /// Heap allocation events during the solve (0 once the workspace is warm).
+    /// Heap allocation events during the solve: 0 on warm tables and on a
+    /// warm per-thread workspace, more on the solve that builds a tenant's
+    /// warm tables.
     pub alloc_events: u64,
     /// Server-side wall time of the solve itself.
     pub wall_ns: u64,

@@ -14,9 +14,10 @@
 //!                                         │  group each run by tenant
 //!                                         ▼
 //!                                  soar_pool::global().scope(..)
-//!                                    one job per tenant in the run,
-//!                                    each solving on its worker's
-//!                                    persistent warm SolverWorkspace
+//!                                    one job per tenant in the run; a
+//!                                    solve refills the tenant's warm
+//!                                    tables, or gathers cold on its
+//!                                    worker's per-thread SolverWorkspace
 //!                                         │  responses appended to each
 //!                                         ▼  connection's pending buffer
 //!                                  dispatcher: one write per connection
@@ -40,10 +41,14 @@
 //! as an `io_error`.
 //!
 //! Per-tenant state is one [`DynamicInstance`] behind a mutex — cheap enough
-//! to keep thousands resident. Solver state is **not** per tenant: all
-//! instances of one shape share the per-thread warm workspaces
-//! ([`with_thread_workspace`]), so a solve is a warm, allocation-free full
-//! gather regardless of which tenant it serves.
+//! to keep thousands resident. Solver state is per tenant while the warm
+//! budget ([`ServeConfig::warm_tables_mb`]) has room: a tenant's first
+//! `Solve` that finds room builds its own `IncrementalSolver` under the same
+//! mutex, and each later `Solve` refills only the dirty closure of the churn
+//! applied since the previous one (see the `warm` module). A `Solve` that
+//! finds no room, and every `Sweep`, runs a full gather on the worker's
+//! persistent per-thread workspace ([`with_thread_workspace`]), warm and
+//! allocation-free. Both paths give bit-identical answers.
 //!
 //! # Admission control
 //!
@@ -63,11 +68,12 @@ use crate::protocol::{
     DecodeError, ErrorCode, Request, RequestBody, Response, ResponseBody, ShedScope, SolveOutcome,
 };
 use crate::wal::{self, TenantParams, TenantRecord, WalWriter};
+use crate::warm::{WarmSlot, WarmTables};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use soar_core::workspace::with_thread_workspace;
 use soar_dataplane::framing::{self, FramingError};
-use soar_online::{DynamicInstance, OnlineError};
+use soar_online::{DynamicInstance, EpochSolve, OnlineError};
 use soar_topology::builders;
 use soar_topology::load::LoadSpec;
 use std::collections::{HashMap, VecDeque};
@@ -116,6 +122,10 @@ pub struct ServeConfig {
     /// Bind address for the Prometheus `/metrics` exposition endpoint
     /// (`soar serve --obs-addr`). `None` (the default) serves no HTTP.
     pub obs_addr: Option<String>,
+    /// Heap budget, in MiB, for the per-tenant warm DP tables that let a
+    /// solve refill only what churn dirtied (see the `warm` module). A BT(4096)
+    /// tenant at budget 16 holds about 7 MiB. `0` solves every request cold.
+    pub warm_tables_mb: u64,
 }
 
 impl Default for ServeConfig {
@@ -133,6 +143,8 @@ impl Default for ServeConfig {
             snapshot_every: 1024,
             write_deadline: Some(Duration::from_secs(5)),
             obs_addr: None,
+            // Room for about 72 warm BT(4096) tenants at budget 16.
+            warm_tables_mb: 512,
         }
     }
 }
@@ -154,7 +166,11 @@ struct TenantEntry {
 impl TenantEntry {
     fn new(instance: DynamicInstance, last_seq: u64, params: TenantParams) -> Self {
         TenantEntry {
-            state: Mutex::new(TenantState { instance, last_seq }),
+            state: Mutex::new(TenantState {
+                instance,
+                last_seq,
+                warm: WarmSlot::default(),
+            }),
             params,
             inflight: AtomicUsize::new(0),
             events_applied: AtomicU64::new(0),
@@ -171,6 +187,9 @@ struct TenantState {
     /// Batches at or below it are answered `duplicate: true` without being
     /// re-applied — and without reaching the WAL.
     last_seq: u64,
+    /// The tenant's warm DP tables, built by its first solve that finds
+    /// room in the warm budget.
+    warm: WarmSlot,
 }
 
 /// Capacity of the buffered reader on each end of a connection: one read
@@ -267,6 +286,7 @@ struct Shared {
     queue: Mutex<VecDeque<Work>>,
     queue_cv: Condvar,
     metrics: ServeMetrics,
+    warm: WarmTables,
     /// Durable logging, when `config.state_dir` is set.
     wal: Option<Mutex<WalWriter>>,
     shutdown: AtomicBool,
@@ -431,6 +451,7 @@ pub fn start(config: ServeConfig) -> io::Result<ServerHandle> {
     };
 
     let shared = Arc::new(Shared {
+        warm: WarmTables::new(config.warm_tables_mb),
         config,
         tenants: RwLock::new(tenants),
         queue: Mutex::new(VecDeque::new()),
@@ -972,8 +993,13 @@ fn process_barrier(shared: &Arc<Shared>, work: Work) {
                         });
                     }
                     Ok(()) => {
-                        map.remove(&tenant);
+                        let entry = map.remove(&tenant).expect("checked resident above");
                         drop(map);
+                        // Its warm tables go back to the budget now, not when
+                        // a request still queued for it drops the entry.
+                        let mut state = entry.state.lock().expect("tenant lock poisoned");
+                        shared.warm.release(&shared.metrics, &mut state.warm);
+                        drop(state);
                         add(&shared.metrics.evictions, 1);
                         respond(ResponseBody::Evicted { tenant });
                     }
@@ -1111,25 +1137,15 @@ fn process_tenant_work(shared: &Arc<Shared>, work: Work) {
                 .record(enqueued.elapsed().as_nanos() as u64);
         }
         RequestBody::Solve { .. } => {
-            let state = entry.state.lock().unwrap();
+            let mut state = entry.state.lock().unwrap();
             let _solve = soar_obs::span!("serve_solve", tenant);
-            let outcome = with_thread_workspace(|ws| {
-                let t0 = Instant::now();
-                ws.gather_auto(state.instance.tree(), state.instance.budget());
-                let (cost, _) = ws.trace_best(state.instance.tree());
-                SolveOutcome {
-                    tenant,
-                    cost,
-                    all_red_cost: ws.tables().optimum_with_exactly(0),
-                    blue_used: ws.coloring().n_blue() as u32,
-                    cells_written: ws.last_cells_written() as u64,
-                    alloc_events: ws.last_alloc_events() as u64,
-                    wall_ns: t0.elapsed().as_nanos() as u64,
-                }
-            });
+            let t0 = Instant::now();
+            let TenantState { instance, warm, .. } = &mut *state;
+            let epoch = shared.warm.solve(&shared.metrics, warm, instance);
+            let outcome = solve_outcome(tenant, &epoch, t0);
             drop(state);
             add(&shared.metrics.solves, 1);
-            add(&shared.metrics.cells_written, outcome.cells_written);
+            add(&shared.metrics.cells_written, epoch.dp.cells_written as u64);
             add(&shared.metrics.alloc_events, outcome.alloc_events);
             add(&entry.solves, 1);
             add(&entry.solve_ns, outcome.wall_ns);
@@ -1350,20 +1366,25 @@ impl From<io::Error> for ClientError {
 /// oracle for response-bit-identity tests and a convenient library entry for
 /// users who want server-equivalent numbers without a server.
 pub fn solve_offline(instance: &DynamicInstance, tenant: u64) -> SolveOutcome {
-    with_thread_workspace(|ws| {
-        let t0 = Instant::now();
-        ws.gather_auto(instance.tree(), instance.budget());
-        let (cost, _) = ws.trace_best(instance.tree());
-        SolveOutcome {
-            tenant,
-            cost,
-            all_red_cost: ws.tables().optimum_with_exactly(0),
-            blue_used: ws.coloring().n_blue() as u32,
-            cells_written: ws.last_cells_written() as u64,
-            alloc_events: ws.last_alloc_events() as u64,
-            wall_ns: t0.elapsed().as_nanos() as u64,
-        }
-    })
+    let t0 = Instant::now();
+    let epoch = with_thread_workspace(|ws| soar_online::solve_full(ws, instance));
+    solve_outcome(tenant, &epoch, t0)
+}
+
+/// The answer to a solve that started at `t0`, warm or cold, served or
+/// offline. `cells_written` is the size of the tables the answer was read
+/// from, which every path agrees on; the cells a warm solve actually
+/// refilled go to [`ServeMetrics::cells_written`] instead.
+fn solve_outcome(tenant: u64, epoch: &EpochSolve, t0: Instant) -> SolveOutcome {
+    SolveOutcome {
+        tenant,
+        cost: epoch.cost,
+        all_red_cost: epoch.all_red_cost,
+        blue_used: epoch.blue_used as u32,
+        cells_written: epoch.dp.table_cells as u64,
+        alloc_events: epoch.dp.alloc_events as u64,
+        wall_ns: t0.elapsed().as_nanos() as u64,
+    }
 }
 
 /// Like [`solve_offline`] but only the churn-independent fields are

@@ -1314,10 +1314,11 @@ const SERVE_USAGE: &str = "usage: soar serve [--addr HOST:PORT] [--queue-cap N] 
                   [--max-tenants N] [--batch-cap N] [--metrics-out FILE]
                   [--state-dir DIR [--recover] [--snapshot-every N]]
                   [--write-deadline-ms MS] [--obs-addr HOST:PORT]
+                  [--warm-tables-mb MB]
 
 Runs the long-running solve/churn daemon: clients register tenants (each one a
-resident DynamicInstance), stream churn batches and request warm re-solves over
-a length-prefixed binary protocol. A full global queue or a tenant at its
+resident DynamicInstance), stream churn batches and request re-solves over a
+length-prefixed binary protocol. A full global queue or a tenant at its
 in-flight cap sheds with an explicit Overloaded response instead of buffering.
 Blocks until a client sends Shutdown; then drains, optionally writes the final
 metrics snapshot JSON to --metrics-out, and exits 0.
@@ -1330,6 +1331,15 @@ bit-identical to an uninterrupted run); without it an existing state dir is
 replaced by a fresh empty log. --write-deadline-ms bounds how long one slow
 reader may block a response write (0 = no deadline) before the connection is
 dropped and counted in io_errors.
+
+A tenant's first solve keeps its DP tables warm, and later solves refill only
+the tables its churn dirtied (bit-identical to a full solve). --warm-tables-mb
+caps the heap all warm tables hold together (default 512 MiB; a BT(4096)
+tenant at budget 16 holds about 7 MiB; 0 solves everything cold). A solve that
+finds no room runs cold on a shared per-thread workspace; nothing is evicted
+to make room. Evict and a budget change release a tenant's tables. Budget
+sweeps always run cold. The warm_hits, warm_misses, warm_evictions and warm_bytes metrics show
+how the budget is used.
 
 --obs-addr additionally serves Prometheus text-format exposition on a second
 listener: GET /metrics returns the same frozen snapshot the binary Metrics
@@ -1366,6 +1376,9 @@ fn cmd_serve(args: &[String]) -> CliResult {
                 config.write_deadline = (ms > 0).then(|| std::time::Duration::from_millis(ms));
             }
             "--obs-addr" => config.obs_addr = Some(options.value_for(flag)?.to_owned()),
+            "--warm-tables-mb" => {
+                config.warm_tables_mb = parse_num(options.value_for(flag)?, flag)?
+            }
             "--help" | "-h" => {
                 println!("{SERVE_USAGE}");
                 return Ok(());
