@@ -49,7 +49,6 @@
 //! }
 //! ```
 
-use crate::node_dp::DpKernel;
 use crate::solver::{self, Solution};
 use crate::strategies::Strategy;
 use crate::workspace::{with_thread_workspace, SolverWorkspace};
@@ -483,14 +482,6 @@ pub struct DpStats {
     /// the incremental-solve speedup reported by the `dynamic_churn` bench.
     #[cfg_attr(feature = "serde", serde(default))]
     pub cells_written: usize,
-    /// The effective `mCost` kernel the gather ran (serialized as its stable
-    /// name: `"scalar" | "pruned" | "tiled"`). See
-    /// [`DpKernel`](crate::node_dp::DpKernel).
-    #[cfg_attr(feature = "serde", serde(default))]
-    pub kernel: DpKernel,
-    /// Column tiles the tiled kernel executed (0 for the other kernels).
-    #[cfg_attr(feature = "serde", serde(default))]
-    pub tiles: usize,
     /// Split candidates the monotonicity-based pruning skipped relative to the
     /// full quadratic arg-min search (0 for the scalar kernel). Deterministic
     /// for a given instance shape and kernel.
@@ -510,8 +501,6 @@ impl DpStats {
             arena_peak_bytes: tables.memory_bytes(),
             alloc_events: 0,
             cells_written: tables.table_cells(),
-            kernel: DpKernel::Auto.resolve(),
-            tiles: 0,
             pruned_splits: 0,
         }
     }
@@ -527,8 +516,6 @@ impl DpStats {
             arena_peak_bytes: workspace.peak_bytes(),
             alloc_events: workspace.last_alloc_events(),
             cells_written: workspace.last_cells_written(),
-            kernel: workspace.last_kernel(),
-            tiles: workspace.last_tiles(),
             pruned_splits: workspace.last_pruned_splits(),
         }
     }

@@ -13,12 +13,17 @@
 //! The pass walks the tree **level by level, deepest first** — a valid bottom-up
 //! order (all children of a node sit exactly one level deeper) that doubles as the
 //! parallel schedule: nodes of one level touch disjoint arena blocks and only read
-//! the already-finalized deeper region, so [`soar-pool`](soar_pool) can fill a
-//! level's stripes concurrently ([`run_gather_parallel`]). Children's `X` tables
-//! are **borrowed as slices** from the [`GatherTables`] arena — the per-node
-//! `clone()` of every child table that earlier revisions performed is gone, and a
-//! warm [`SolverWorkspace`](crate::workspace::SolverWorkspace) runs the whole pass
-//! without a single heap allocation.
+//! the already-finalized deeper region. One level-ordered driver,
+//! [`run_gather`], fills either every node (a full pass) or only an
+//! ancestor-closed dirty set (the incremental update behind `soar-online`);
+//! [`run_gather_parallel`] fills each level's stripes concurrently on
+//! [`soar-pool`](soar_pool). Both carve a level's borrows with one helper,
+//! `carve_level`, and fill a node with one function, `LevelFill::fill_one`,
+//! which is what keeps every pass bit-identical by construction. Children's `X`
+//! tables are **borrowed as slices** from the [`GatherTables`] arena, and a warm
+//! [`SolverWorkspace`](crate::workspace::SolverWorkspace) runs the whole pass
+//! without a single heap allocation. Every node runs the same exact `mCost`
+//! kernel, [`DpKernel::Pruned`]; tests swap in the scalar oracle.
 //!
 //! The complexity is `O(n · h(T) · k²)` time as in Theorem 4.1. Node `v`'s table
 //! is only `min(k, s_v) + 1` columns wide (see the [`tables`](crate::tables)
@@ -32,13 +37,13 @@ use soar_topology::{NodeId, Tree};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Shared read-only state for filling the nodes of one level — the single home
-/// of the per-node offset arithmetic, used identically by the sequential pass
-/// (whole-level regions, zero bases) and the parallel pass (carved stripes with
-/// stripe bases), which is what keeps the two bit-identical by construction.
+/// of the per-node offset arithmetic.
 struct LevelFill<'a> {
     tree: &'a Tree,
     /// The `mCost` kernel every node of the pass runs.
     kernel: DpKernel,
+    /// The level's nodes, in arena order.
+    nodes: &'a [NodeId],
     /// Cell offset of the first strictly-deeper node: where `x_children` starts
     /// in the `X` arena.
     boundary: usize,
@@ -52,39 +57,126 @@ struct LevelFill<'a> {
     split_len: &'a [usize],
 }
 
+/// Writable arena regions holding a run of consecutive nodes of one level: a
+/// whole level, or one stripe of it in the parallel pass.
+struct LevelOut<'a> {
+    /// Arena offset of the first cell of `x`, `y_blue` and `y_red`.
+    cell_base: usize,
+    /// Arena offset of the first entry of `splits`.
+    split_base: usize,
+    x: &'a mut [f64],
+    y_blue: &'a mut [f64],
+    y_red: &'a mut [f64],
+    splits: &'a mut [u32],
+}
+
+impl<'a> LevelOut<'a> {
+    /// Splits the first `cells` cells and `split_cells` split entries off the
+    /// front of these regions.
+    fn split_front(&mut self, cells: usize, split_cells: usize) -> LevelOut<'a> {
+        let (x, x_rest) = std::mem::take(&mut self.x).split_at_mut(cells);
+        let (y_blue, yb_rest) = std::mem::take(&mut self.y_blue).split_at_mut(cells);
+        let (y_red, yr_rest) = std::mem::take(&mut self.y_red).split_at_mut(cells);
+        let (splits, sp_rest) = std::mem::take(&mut self.splits).split_at_mut(split_cells);
+        let front = LevelOut {
+            cell_base: self.cell_base,
+            split_base: self.split_base,
+            x,
+            y_blue,
+            y_red,
+            splits,
+        };
+        *self = LevelOut {
+            cell_base: self.cell_base + cells,
+            split_base: self.split_base + split_cells,
+            x: x_rest,
+            y_blue: yb_rest,
+            y_red: yr_rest,
+            splits: sp_rest,
+        };
+        front
+    }
+}
+
+/// Carves level `d`'s borrows out of the arena: the level's own region,
+/// writable, and everything the fill reads — the strictly deeper `X` region
+/// (finalized children) and the layout index — shared.
+fn carve_level<'a>(
+    tables: &'a mut GatherTables,
+    tree: &'a Tree,
+    d: usize,
+    kernel: DpKernel,
+) -> (LevelFill<'a>, LevelOut<'a>) {
+    let (start, end) = tables.level_ranges[d];
+    let boundary = tables.level_cell_end[d];
+    let (cell_base, split_base) = match d {
+        0 => (0, 0),
+        _ => (tables.level_cell_end[d - 1], tables.level_split_end[d - 1]),
+    };
+    let split_end = tables.level_split_end[d];
+    let GatherTables {
+        x,
+        y_blue,
+        y_red,
+        splits,
+        rho,
+        n_l,
+        n_i,
+        cell_off,
+        rho_off,
+        split_off,
+        split_len,
+        level_nodes,
+        ..
+    } = tables;
+    // Everything at offsets >= boundary belongs to strictly deeper levels:
+    // finalized children, read-only from here on.
+    let (x_level, x_children) = x.split_at_mut(boundary);
+    let fill = LevelFill {
+        tree,
+        kernel,
+        nodes: &level_nodes[start..end],
+        boundary,
+        x_children,
+        rho,
+        n_l,
+        n_i,
+        cell_off,
+        rho_off,
+        split_off,
+        split_len,
+    };
+    let out = LevelOut {
+        cell_base,
+        split_base,
+        x: &mut x_level[cell_base..],
+        y_blue: &mut y_blue[cell_base..boundary],
+        y_red: &mut y_red[cell_base..boundary],
+        splits: &mut splits[split_base..split_end],
+    };
+    (fill, out)
+}
+
 impl LevelFill<'_> {
     /// Number of cells of node `v`'s table: `(D(v) + 2) · (min(k, s_v) + 1)`.
     fn cells(&self, v: NodeId) -> usize {
         self.n_l[v] as usize * self.n_i[v] as usize
     }
 
-    /// Fills node `v`'s table inside region slices whose first cell sits at
-    /// arena offset `cell_base` (respectively `split_base` for the split
-    /// region). Children's `X` tables are borrowed from `x_children`. Returns
-    /// the scratch growth count.
-    #[allow(clippy::too_many_arguments)]
-    fn fill_one(
-        &self,
-        v: NodeId,
-        x: &mut [f64],
-        y_blue: &mut [f64],
-        y_red: &mut [f64],
-        splits: &mut [u32],
-        cell_base: usize,
-        split_base: usize,
-        scratch: &mut DpScratch,
-    ) -> usize {
+    /// Fills node `v`'s table inside `out`, which must hold it. Children's `X`
+    /// tables are borrowed from `x_children`. Returns the scratch growth count.
+    fn fill_one(&self, v: NodeId, out: &mut LevelOut<'_>, scratch: &mut DpScratch) -> usize {
         let rows = self.n_l[v] as usize;
         let cells = self.cells(v);
-        let off = self.cell_off[v] - cell_base;
-        let sp_off = self.split_off[v] - split_base;
+        let off = self.cell_off[v] - out.cell_base;
+        let sp_off = self.split_off[v] - out.split_base;
         let children = self.tree.children(v);
         fill_node(
             NodeTableMut {
-                x: &mut x[off..off + cells],
-                y_blue: &mut y_blue[off..off + cells],
-                y_red: &mut y_red[off..off + cells],
-                splits: &mut splits[sp_off..sp_off + self.split_len[v]],
+                x: &mut out.x[off..off + cells],
+                y_blue: &mut out.y_blue[off..off + cells],
+                y_red: &mut out.y_red[off..off + cells],
+                splits: &mut out.splits[sp_off..sp_off + self.split_len[v]],
             },
             &self.rho[self.rho_off[v]..self.rho_off[v] + rows],
             self.tree.load(v),
@@ -111,79 +203,30 @@ impl LevelFill<'_> {
 pub fn soar_gather(tree: &Tree, k: usize) -> GatherTables {
     let mut tables = GatherTables::new(tree, k);
     let mut scratch = DpScratch::new();
-    run_gather(&mut tables, tree, &mut scratch, DpKernel::Auto);
+    run_gather(&mut tables, tree, None, &mut scratch, DpKernel::default());
     tables
 }
 
-/// Fills already-laid-out tables bottom-up, sequentially. Returns the number of
-/// scratch-buffer growths (0 when `scratch` is warm).
-pub(crate) fn run_gather(
-    tables: &mut GatherTables,
-    tree: &Tree,
-    scratch: &mut DpScratch,
-    kernel: DpKernel,
-) -> usize {
-    let mut grew = 0;
-    for d in (0..tables.level_ranges.len()).rev() {
-        let _level = soar_obs::span!("gather_level", d);
-        let (start, end) = tables.level_ranges[d];
-        let boundary = tables.level_cell_end[d];
-        let GatherTables {
-            x,
-            y_blue,
-            y_red,
-            splits,
-            rho,
-            n_l,
-            n_i,
-            cell_off,
-            rho_off,
-            split_off,
-            split_len,
-            level_nodes,
-            ..
-        } = &mut *tables;
-        // Everything at offsets >= boundary belongs to strictly deeper levels:
-        // finalized children, read-only from here on.
-        let (x_level, x_children) = x.split_at_mut(boundary);
-        let ctx = LevelFill {
-            tree,
-            kernel,
-            boundary,
-            x_children,
-            rho,
-            n_l,
-            n_i,
-            cell_off,
-            rho_off,
-            split_off,
-            split_len,
-        };
-        for &v in &level_nodes[start..end] {
-            grew += ctx.fill_one(v, x_level, y_blue, y_red, splits, 0, 0, scratch);
-        }
-    }
-    grew
-}
-
-/// Refills only the given nodes of already-gathered tables, bottom-up — the
-/// incremental update behind `soar-online`'s epoch solves.
+/// Fills already-laid-out tables bottom-up, sequentially, one level at a time.
 ///
-/// `dirty` must be **ancestor-closed** (if a node's inputs changed, every
-/// ancestor up to the root is also in the set — a parent reads its children's
-/// `X` tables, so a stale ancestor would fold refreshed child values into an
-/// old table) and **sorted deepest-first**, so a node's dirty children are
-/// refilled before the node itself. Nodes *not* in the set keep their values
-/// from the previous pass; since their loads, availability, ρ blocks and child
-/// tables are unchanged, those values are exactly what a from-scratch gather
-/// would recompute — the partial pass is bit-identical to a full one by
-/// construction. The layout (tree shape, budget) must match the pass that
-/// filled the tables; callers go through
+/// With `dirty = None` every node is filled, reading the ρ blocks that
+/// [`GatherTables::reset`] laid out. With `dirty = Some(nodes)` only those
+/// nodes are refilled — the incremental update behind `soar-online`'s epoch
+/// solves. The dirty set must be **ancestor-closed** (if a node's inputs
+/// changed, every ancestor up to the root is also in the set — a parent reads
+/// its children's `X` tables, so a stale ancestor would fold refreshed child
+/// values into an old table) and **sorted deepest-first**, so a node's dirty
+/// children are refilled before the node itself. Nodes *not* in the set keep
+/// their values from the previous pass; since their loads, availability, ρ
+/// blocks and child tables are unchanged, those values are exactly what a
+/// from-scratch gather would recompute — the dirty pass is bit-identical to a
+/// full one by construction. The layout (tree shape, budget) must match the
+/// pass that filled the tables; callers go through
 /// [`SolverWorkspace::gather_update`](crate::workspace::SolverWorkspace::gather_update),
 /// which checks that.
 ///
 /// Link *rates* may have changed since the filling pass: every dirty node's ρ
-/// prefix block is recomputed here before the refill (the partial rho-arena
+/// prefix block is recomputed before the refill (the partial rho-arena
 /// reset), which is bit-identical to the stored block when the rates are
 /// unchanged — the same additions in the same order. The rate-change contract
 /// is the caller's: a changed up-link of `w` moves the ρ blocks of exactly
@@ -191,63 +234,40 @@ pub(crate) fn run_gather(
 /// be in `dirty`.
 ///
 /// Returns the number of scratch-buffer growths (0 when `scratch` is warm).
-pub(crate) fn run_gather_partial(
+pub(crate) fn run_gather(
     tables: &mut GatherTables,
     tree: &Tree,
-    dirty: &[NodeId],
+    dirty: Option<&[NodeId]>,
     scratch: &mut DpScratch,
     kernel: DpKernel,
 ) -> usize {
-    let mut grew = 0;
-    for &v in dirty {
+    let mut rest = dirty.unwrap_or_default();
+    for &v in rest {
         tables.refresh_rho_node(tree, v);
     }
-    let mut idx = 0;
-    while idx < dirty.len() {
-        let d = tree.depth(dirty[idx]);
-        let mut end = idx + 1;
-        while end < dirty.len() && tree.depth(dirty[end]) == d {
-            end += 1;
-        }
-        debug_assert!(
-            end == dirty.len() || tree.depth(dirty[end]) < d,
-            "dirty nodes must be sorted deepest-first"
-        );
-        let _level = soar_obs::span!("gather_level", d);
-        let boundary = tables.level_cell_end[d];
-        let GatherTables {
-            x,
-            y_blue,
-            y_red,
-            splits,
-            rho,
-            n_l,
-            n_i,
-            cell_off,
-            rho_off,
-            split_off,
-            split_len,
-            ..
-        } = &mut *tables;
-        let (x_level, x_children) = x.split_at_mut(boundary);
-        let ctx = LevelFill {
-            tree,
-            kernel,
-            boundary,
-            x_children,
-            rho,
-            n_l,
-            n_i,
-            cell_off,
-            rho_off,
-            split_off,
-            split_len,
+    let mut grew = 0;
+    for d in (0..tables.n_levels()).rev() {
+        // The dirty nodes at depth `d`: the next run of the deepest-first list.
+        let dirty_run = match dirty {
+            None => None,
+            Some(_) => {
+                let len = rest.iter().take_while(|&&v| tree.depth(v) == d).count();
+                let (run, tail) = rest.split_at(len);
+                rest = tail;
+                if run.is_empty() {
+                    continue;
+                }
+                Some(run)
+            }
         };
-        for &v in &dirty[idx..end] {
-            grew += ctx.fill_one(v, x_level, y_blue, y_red, splits, 0, 0, scratch);
+        let _level = soar_obs::span!("gather_level", d);
+        let (fill, mut out) = carve_level(tables, tree, d, kernel);
+        for &v in dirty_run.unwrap_or(fill.nodes) {
+            grew += fill.fill_one(v, &mut out, scratch);
         }
-        idx = end;
     }
+    // A node left over was out of order, so it was never refilled.
+    assert!(rest.is_empty(), "dirty nodes must be sorted deepest-first");
     grew
 }
 
@@ -277,91 +297,30 @@ pub(crate) fn run_gather_parallel(
         scratches.push(DpScratch::new());
     }
     let grew = AtomicUsize::new(0);
-    for d in (0..tables.level_ranges.len()).rev() {
-        let (start, end) = tables.level_ranges[d];
-        let n_nodes = end - start;
-        if n_nodes == 0 {
+    for d in (0..tables.n_levels()).rev() {
+        let (fill, mut rest) = carve_level(tables, tree, d, kernel);
+        if fill.nodes.is_empty() {
             continue;
         }
         // One span per level on the *calling* thread (the span covers the whole
         // fork/join); each stripe additionally records on its worker's ring.
         let _level = soar_obs::span!("gather_level", d);
-        let boundary = tables.level_cell_end[d];
-        let level_cell_start = if d == 0 {
-            0
-        } else {
-            tables.level_cell_end[d - 1]
-        };
-        let level_split_start = if d == 0 {
-            0
-        } else {
-            tables.level_split_end[d - 1]
-        };
-        let level_split_end = tables.level_split_end[d];
-        let per_stripe = n_nodes.div_ceil(max_stripes);
-        let GatherTables {
-            x,
-            y_blue,
-            y_red,
-            splits,
-            rho,
-            n_l,
-            n_i,
-            cell_off,
-            rho_off,
-            split_off,
-            split_len,
-            level_nodes,
-            ..
-        } = &mut *tables;
-        let (x_level_all, x_children) = x.split_at_mut(boundary);
-        // Mutable leases on this level's region of each arena; stripes are carved
-        // off the front as the spawn loop walks the level. `X` and both `Y`
-        // arenas share one layout.
-        let mut x_rest = &mut x_level_all[level_cell_start..];
-        let mut yb_rest = &mut y_blue[level_cell_start..boundary];
-        let mut yr_rest = &mut y_red[level_cell_start..boundary];
-        let mut sp_rest = &mut splits[level_split_start..level_split_end];
-        // Shared, read-only state for all stripes.
-        let ctx = &LevelFill {
-            tree,
-            kernel,
-            boundary,
-            x_children,
-            rho,
-            n_l,
-            n_i,
-            cell_off,
-            rho_off,
-            split_off,
-            split_len,
-        };
+        let per_stripe = fill.nodes.len().div_ceil(max_stripes);
+        let fill = &fill;
         let grew = &grew;
         pool.scope(|s| {
-            for (stripe_nodes, scratch) in level_nodes[start..end]
-                .chunks(per_stripe)
-                .zip(scratches.iter_mut())
-            {
+            for (stripe_nodes, scratch) in fill.nodes.chunks(per_stripe).zip(scratches.iter_mut()) {
                 let first = stripe_nodes[0];
                 let last = stripe_nodes[stripe_nodes.len() - 1];
-                let cell_base = ctx.cell_off[first];
-                let cell_len = ctx.cell_off[last] + ctx.cells(last) - cell_base;
-                let split_base = ctx.split_off[first];
-                let split_total = ctx.split_off[last] + ctx.split_len[last] - split_base;
-                let (x_s, tail) = std::mem::take(&mut x_rest).split_at_mut(cell_len);
-                x_rest = tail;
-                let (yb_s, tail) = std::mem::take(&mut yb_rest).split_at_mut(cell_len);
-                yb_rest = tail;
-                let (yr_s, tail) = std::mem::take(&mut yr_rest).split_at_mut(cell_len);
-                yr_rest = tail;
-                let (sp_s, tail) = std::mem::take(&mut sp_rest).split_at_mut(split_total);
-                sp_rest = tail;
+                let cells = fill.cell_off[last] + fill.cells(last) - fill.cell_off[first];
+                let split_cells =
+                    fill.split_off[last] + fill.split_len[last] - fill.split_off[first];
+                let mut stripe = rest.split_front(cells, split_cells);
                 s.spawn(move || {
                     let _stripe = soar_obs::span!("gather_stripe", stripe_nodes.len());
                     let mut local_grew = 0;
                     for &v in stripe_nodes {
-                        local_grew +=
-                            ctx.fill_one(v, x_s, yb_s, yr_s, sp_s, cell_base, split_base, scratch);
+                        local_grew += fill.fill_one(v, &mut stripe, scratch);
                     }
                     if local_grew > 0 {
                         grew.fetch_add(local_grew, Ordering::Relaxed);
@@ -539,18 +498,36 @@ mod tests {
         let mut scratch = DpScratch::new();
         // Change one leaf's load: only its root path (leaf 4 -> 1 -> 0) is dirty.
         tree.set_load(4, 9);
-        let grew = run_gather_partial(&mut tables, &tree, &[4, 1, 0], &mut scratch, DpKernel::Auto);
+        let grew = run_gather(
+            &mut tables,
+            &tree,
+            Some(&[4, 1, 0]),
+            &mut scratch,
+            DpKernel::Pruned,
+        );
         let _ = grew; // scratch growth is covered by the workspace tests
         assert_eq!(tables, soar_gather(&tree, 3));
 
         // Availability changes update through the same path.
         tree.set_available(5, false);
-        run_gather_partial(&mut tables, &tree, &[5, 2, 0], &mut scratch, DpKernel::Auto);
+        run_gather(
+            &mut tables,
+            &tree,
+            Some(&[5, 2, 0]),
+            &mut scratch,
+            DpKernel::Pruned,
+        );
         assert_eq!(tables, soar_gather(&tree, 3));
 
         // An empty dirty set leaves the tables untouched.
         let before = tables.clone();
-        run_gather_partial(&mut tables, &tree, &[], &mut scratch, DpKernel::Auto);
+        run_gather(
+            &mut tables,
+            &tree,
+            Some(&[]),
+            &mut scratch,
+            DpKernel::Pruned,
+        );
         assert_eq!(tables, before);
 
         // A link-rate change: the ρ blocks of the link's whole subtree move,
@@ -560,7 +537,13 @@ mod tests {
         let mut dirty: Vec<_> = tree.subtree(1);
         dirty.push(0);
         dirty.sort_by_key(|&v| (std::cmp::Reverse(tree.depth(v)), v));
-        run_gather_partial(&mut tables, &tree, &dirty, &mut scratch, DpKernel::Auto);
+        run_gather(
+            &mut tables,
+            &tree,
+            Some(&dirty),
+            &mut scratch,
+            DpKernel::Pruned,
+        );
         assert_eq!(tables, soar_gather(&tree, 3));
     }
 
@@ -580,7 +563,7 @@ mod tests {
                 let sequential = soar_gather(tree, k);
                 let mut tables = GatherTables::new(tree, k);
                 let mut scratches = Vec::new();
-                run_gather_parallel(&mut tables, tree, &mut scratches, &pool, DpKernel::Auto);
+                run_gather_parallel(&mut tables, tree, &mut scratches, &pool, DpKernel::Pruned);
                 assert_eq!(
                     tables,
                     sequential,

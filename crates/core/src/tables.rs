@@ -37,7 +37,7 @@
 //! plateau, which is what the uncapped child holds there), and for `i > s_v`
 //! the clamped value, split and traceback step are the ones at `s_v`. The
 //! owned [`NodeTable`] of the distributed rendition keeps uniform `k + 1`
-//! columns; the same kernels serve both, because with uniform widths no read
+//! columns; the same fill serves both, because with uniform widths no read
 //! ever clamps.
 //!
 //! ## Storage: one arena per gather pass

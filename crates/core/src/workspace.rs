@@ -32,7 +32,7 @@
 //! replays it for the rest of the batch.
 
 use crate::color::soar_color_exact_into;
-use crate::gather::{run_gather, run_gather_parallel, run_gather_partial};
+use crate::gather::{run_gather, run_gather_parallel};
 use crate::node_dp::{DpKernel, DpScratch};
 use crate::solver::Solution;
 use crate::tables::GatherTables;
@@ -85,15 +85,9 @@ pub struct SolverWorkspace {
     /// Consecutive passes whose live working set was a small fraction of the
     /// reserved capacity — the shrink-on-idle trigger.
     oversized_streak: u32,
-    /// Requested `mCost` kernel (defaults to [`DpKernel::Auto`]); the
-    /// `SOAR_GATHER_KERNEL` environment override, when set, wins.
+    /// The `mCost` kernel every gather runs: [`DpKernel::Pruned`] unless a
+    /// test picks the scalar oracle with [`Self::set_kernel`].
     kernel: DpKernel,
-    /// The env-combined kernel choice, looked up once per workspace lifetime.
-    resolved_kernel: Option<DpKernel>,
-    /// Effective (resolved) kernel of the most recent gather.
-    last_kernel: DpKernel,
-    /// Column tiles executed by the most recent gather (tiled kernel only).
-    last_tiles: usize,
     /// Split candidates skipped by the most recent gather's pruning.
     last_pruned_splits: usize,
 }
@@ -109,7 +103,6 @@ impl SolverWorkspace {
     /// returned tables stay valid (and reusable by [`Self::tables`]) until the
     /// next gather or solve on this workspace.
     pub fn gather(&mut self, tree: &Tree, k: usize) -> &GatherTables {
-        let kernel = self.begin_pass();
         let mut events;
         {
             let _reset = soar_obs::span!("ws_reset", tree.n_switches());
@@ -119,7 +112,13 @@ impl SolverWorkspace {
         if self.scratches.is_empty() {
             self.scratches.push(DpScratch::new());
         }
-        events += run_gather(&mut self.tables, tree, &mut self.scratches[0], kernel);
+        events += run_gather(
+            &mut self.tables,
+            tree,
+            None,
+            &mut self.scratches[0],
+            self.kernel,
+        );
         let cells = self.tables.table_cells();
         self.finish_pass(events, cells);
         &self.tables
@@ -133,7 +132,7 @@ impl SolverWorkspace {
     /// with **zero heap allocations**.
     ///
     /// `dirty` must be ancestor-closed and sorted deepest-first (see
-    /// [`run_gather_partial`](crate::gather)); the tree's *shape* and the
+    /// [`run_gather`](crate::gather)); the tree's *shape* and the
     /// budget must be unchanged since the full gather that filled this
     /// workspace. Loads and availability may differ freely — those are inputs
     /// of the per-node fill, not of the arena layout. Link rates may differ
@@ -179,19 +178,18 @@ impl SolverWorkspace {
                 "gather_update: dirty set is not ancestor-closed (node {v}'s parent is clean)"
             );
         }
-        let kernel = self.begin_pass();
         // The span argument is the dirty-closure size — the work measure of an
         // incremental solve, scrapeable straight off a Perfetto trace.
         let _update = soar_obs::span!("gather_update", dirty.len());
         if self.scratches.is_empty() {
             self.scratches.push(DpScratch::new());
         }
-        let events = run_gather_partial(
+        let events = run_gather(
             &mut self.tables,
             tree,
-            dirty,
+            Some(dirty),
             &mut self.scratches[0],
-            kernel,
+            self.kernel,
         );
         let cells = dirty.iter().map(|&v| self.tables.node_cells(v)).sum();
         self.finish_pass(events, cells);
@@ -202,14 +200,19 @@ impl SolverWorkspace {
     /// (bit-identical results to [`Self::gather`]; see
     /// [`run_gather_parallel`](crate::gather)).
     pub fn gather_parallel(&mut self, tree: &Tree, k: usize, pool: &ThreadPool) -> &GatherTables {
-        let kernel = self.begin_pass();
         let mut events;
         {
             let _reset = soar_obs::span!("ws_reset", tree.n_switches());
             events = self.maybe_shrink();
             events += self.tables.reset(tree, k);
         }
-        events += run_gather_parallel(&mut self.tables, tree, &mut self.scratches, pool, kernel);
+        events += run_gather_parallel(
+            &mut self.tables,
+            tree,
+            &mut self.scratches,
+            pool,
+            self.kernel,
+        );
         let cells = self.tables.table_cells();
         self.finish_pass(events, cells);
         &self.tables
@@ -330,55 +333,18 @@ impl SolverWorkspace {
             + self.trace_stack.capacity() * std::mem::size_of::<(NodeId, usize, usize)>()
     }
 
-    /// Requests an `mCost` kernel for every subsequent gather on this
-    /// workspace. The `SOAR_GATHER_KERNEL` environment variable, when set to a
-    /// valid kernel name, still wins — it is the fleet-wide debugging override.
+    /// Picks the `mCost` kernel for every subsequent gather on this
+    /// workspace. Production code never calls it: the default is
+    /// [`DpKernel::Pruned`], and tests pass [`DpKernel::Scalar`] to run the
+    /// reference oracle the pruned kernel is compared against.
     pub fn set_kernel(&mut self, kernel: DpKernel) {
         self.kernel = kernel;
-        self.resolved_kernel = None;
-    }
-
-    /// Name of the effective kernel the most recent gather ran
-    /// (`"scalar" | "pruned" | "tiled"`; `"auto"` before the first gather).
-    pub fn last_kernel_name(&self) -> &'static str {
-        self.last_kernel.name()
-    }
-
-    /// The effective (resolved) kernel of the most recent gather.
-    pub fn last_kernel(&self) -> DpKernel {
-        self.last_kernel
-    }
-
-    /// Column tiles the most recent gather executed (0 for non-tiled kernels).
-    pub fn last_tiles(&self) -> usize {
-        self.last_tiles
     }
 
     /// Split candidates the most recent gather's pruning skipped relative to
     /// the full quadratic arg-min search (0 for the scalar kernel).
     pub fn last_pruned_splits(&self) -> usize {
         self.last_pruned_splits
-    }
-
-    /// Resolves the kernel for a pass (env override > [`Self::set_kernel`],
-    /// cached) and clears the per-pass kernel counters.
-    fn begin_pass(&mut self) -> DpKernel {
-        let kernel = match self.resolved_kernel {
-            Some(k) => k,
-            None => {
-                let k = std::env::var("SOAR_GATHER_KERNEL")
-                    .ok()
-                    .and_then(|v| DpKernel::from_name(&v))
-                    .unwrap_or(self.kernel);
-                self.resolved_kernel = Some(k);
-                k
-            }
-        };
-        self.last_kernel = kernel.resolve();
-        for scratch in &mut self.scratches {
-            scratch.reset_kernel_counters();
-        }
-        kernel
     }
 
     /// Releases every retained buffer (arena and scratch), returning the
@@ -403,20 +369,16 @@ impl SolverWorkspace {
         self.last_alloc_events = events;
         self.total_alloc_events += events;
         self.last_cells_written = cells_written;
-        let (tiles, pruned) = self
+        let pruned = self
             .scratches
-            .iter()
-            .fold((0, 0), |(tiles, pruned), scratch| {
-                let (t, p) = scratch.kernel_counters();
-                (tiles + t, pruned + p)
-            });
-        self.last_tiles = tiles;
+            .iter_mut()
+            .map(DpScratch::take_pruned_splits)
+            .sum::<usize>();
         self.last_pruned_splits = pruned;
         // Process-wide DP counters: the same quantities DpStats reports
         // per-solve, accumulated for the /metrics exposition.
         soar_obs::counter!("soar_gather_passes_total").inc();
         soar_obs::counter!("soar_gather_cells_written_total").add(cells_written as u64);
-        soar_obs::counter!("soar_gather_tiles_total").add(tiles as u64);
         soar_obs::counter!("soar_gather_pruned_splits_total").add(pruned as u64);
         soar_obs::counter!("soar_gather_alloc_events_total").add(events as u64);
         let scratch_bytes = self
@@ -715,24 +677,27 @@ mod tests {
 
     #[test]
     fn kernel_selection_is_bit_identical_across_kernels() {
-        let tree = fig2_tree();
-        let reference = soar_gather(&tree, 4);
-        for kernel in [
-            DpKernel::Scalar,
-            DpKernel::Pruned,
-            DpKernel::Tiled,
-            DpKernel::Auto,
-        ] {
-            let mut ws = SolverWorkspace::new();
-            ws.set_kernel(kernel);
-            assert_eq!(
-                *ws.gather(&tree, 4),
-                reference,
-                "kernel {} diverged",
-                kernel.name()
-            );
-            assert_eq!(ws.last_kernel_name(), kernel.resolve().name());
+        // Production runs the pruned kernel: on a BT instance it skips split
+        // candidates, while the scalar oracle evaluates every one of them.
+        let mut tree = builders::complete_binary_tree_bt(256);
+        for (i, v) in tree.leaves().collect::<Vec<_>>().into_iter().enumerate() {
+            tree.set_load(v, (i % 7 + 1) as u64);
         }
+        let mut pruned = SolverWorkspace::new();
+        let reference = pruned.gather(&tree, 8).clone();
+        assert!(
+            pruned.last_pruned_splits() > 0,
+            "default kernel did not prune"
+        );
+
+        let mut scalar = SolverWorkspace::new();
+        scalar.set_kernel(DpKernel::Scalar);
+        assert_eq!(
+            *scalar.gather(&tree, 8),
+            reference,
+            "scalar oracle diverged"
+        );
+        assert_eq!(scalar.last_pruned_splits(), 0);
     }
 
     #[test]

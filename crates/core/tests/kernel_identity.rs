@@ -1,16 +1,15 @@
-//! Property tests: every `mCost` kernel is **bit-identical** to the scalar
-//! reference, and the capped arena (node `v` stores `min(k, s_v) + 1`
+//! Property tests: the pruned `mCost` kernel is **bit-identical** to the
+//! scalar reference, and the capped arena (node `v` stores `min(k, s_v) + 1`
 //! columns) holds exactly what uniform `k + 1`-column tables hold.
 //!
-//! The pruned and tiled kernels claim *exactness*, not approximation: the
-//! effective-width cap, the tail early-exit and the tile-skip bound only ever
-//! discard candidates that provably cannot win (values are non-increasing in
-//! the split index, and ties resolve to the smallest index, which is visited
-//! first). These tests pin that claim across adversarial shapes — budgets that
-//! straddle the f64x4 lane width and the 64-column tile width, degenerate
-//! paths and stars, random trees with random loads / rates / availability —
-//! by comparing whole [`GatherTables`] for equality, which covers every `X`
-//! row, every `Y` row, and every recorded arg-min split.
+//! The pruned kernel claims *exactness*, not approximation: the
+//! effective-width cap and the tail early-exit only ever discard candidates
+//! that provably cannot win (values are non-increasing in the split index,
+//! and ties resolve to the smallest index, which is visited first). These
+//! tests pin that claim across adversarial shapes — small and large budgets,
+//! degenerate paths and stars, random trees with random loads / rates /
+//! availability — by comparing whole [`GatherTables`] for equality, which
+//! covers every `X` row, every `Y` row, and every recorded arg-min split.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -138,10 +137,7 @@ fn trace_uniform(tree: &Tree, tables: &[NodeTable], i: usize) -> Coloring {
     coloring
 }
 
-/// The shapes under test. Budgets are chosen to straddle the SIMD lane width
-/// (4 columns) and the tile width (64 columns): `n_i = k + 1` values of 4, 5,
-/// 63, 64, 65 exercise empty remainders, 1-lane remainders, and multi-tile
-/// rows with a partial trailing tile.
+/// The shapes under test, randomized.
 fn shapes(rng: &mut StdRng) -> Vec<(String, Tree)> {
     let mut shapes: Vec<(String, Tree)> = vec![
         ("path-17".into(), builders::path(17)),
@@ -161,20 +157,16 @@ fn shapes(rng: &mut StdRng) -> Vec<(String, Tree)> {
 }
 
 #[test]
-fn pruned_and_tiled_kernels_are_bit_identical_to_scalar() {
+fn pruned_kernel_is_bit_identical_to_scalar() {
     let mut rng = StdRng::seed_from_u64(0x50AB);
     for (name, tree) in shapes(&mut rng) {
         for k in [0usize, 3, 4, 16, 63, 64] {
             let reference = gather_with(&tree, k, DpKernel::Scalar);
-            for kernel in [DpKernel::Pruned, DpKernel::Tiled, DpKernel::Auto] {
-                let candidate = gather_with(&tree, k, kernel);
-                assert_eq!(
-                    candidate,
-                    reference,
-                    "kernel {} diverged from scalar on {name} at k = {k}",
-                    kernel.name()
-                );
-            }
+            let candidate = gather_with(&tree, k, DpKernel::Pruned);
+            assert_eq!(
+                candidate, reference,
+                "pruned kernel diverged from scalar on {name} at k = {k}"
+            );
         }
     }
 }
@@ -185,7 +177,7 @@ fn capped_arena_matches_uniform_width_tables_under_every_kernel() {
     for (name, tree) in shapes(&mut rng) {
         for k in [2usize, 7, 65] {
             let uniform = uniform_tables(&tree, k, DpKernel::Scalar);
-            for kernel in [DpKernel::Scalar, DpKernel::Pruned, DpKernel::Tiled] {
+            for kernel in [DpKernel::Scalar, DpKernel::Pruned] {
                 let capped = gather_with(&tree, k, kernel);
                 assert!(
                     capped.table_cells() <= tree.n_switches() * (tree.height() + 2) * (k + 1),
@@ -257,7 +249,7 @@ fn incremental_updates_preserve_kernel_identity() {
     let mut rng = StdRng::seed_from_u64(0xD1FF);
     let mut tree = builders::complete_kary_tree(3, 121);
     randomize(&mut tree, &mut rng);
-    for kernel in [DpKernel::Scalar, DpKernel::Pruned, DpKernel::Tiled] {
+    for kernel in [DpKernel::Scalar, DpKernel::Pruned] {
         let mut ws = SolverWorkspace::new();
         ws.set_kernel(kernel);
         let _ = ws.gather(&tree, 6);
@@ -273,10 +265,8 @@ fn incremental_updates_preserve_kernel_identity() {
         let updated = ws.gather_update(&tree, 6, &dirty);
         let fresh = gather_with(&tree, 6, kernel);
         assert_eq!(
-            *updated,
-            fresh,
-            "partial regather diverged under kernel {}",
-            kernel.name()
+            *updated, fresh,
+            "partial regather diverged under kernel {kernel:?}"
         );
         tree.set_load(leaf, 0); // reset so every kernel sees the same sequence
     }

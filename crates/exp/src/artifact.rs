@@ -82,11 +82,7 @@ pub fn canonical_dp(mut dp: DpStats) -> DpStats {
     dp.arena_peak_bytes = 0;
     dp.alloc_events = 0;
     dp.cells_written = 0;
-    // The kernel is runtime-selectable (`SOAR_GATHER_KERNEL`), and the tile /
-    // pruning counters follow it — normalize all three so an operator's kernel
-    // override can never dirty a golden artifact.
-    dp.kernel = soar_core::DpKernel::Auto;
-    dp.tiles = 0;
+    // The pruning counter is a kernel internal, not a property of the spec.
     dp.pruned_splits = 0;
     dp
 }

@@ -400,7 +400,7 @@ fn obs_bench() -> ExperimentSpec {
 
 fn gather_scale(scale: Scale) -> ExperimentSpec {
     // Shallow 16-ary trees: the datacenter-fabric shape, and the regime where
-    // subtree-capped table widths and the pruned/tiled kernels earn their
+    // subtree-capped table widths and the pruned kernel earn their
     // keep (~94% of switches are leaves with two columns). Quick
     // (the `scale-smoke` CI gate) runs 100k switches; paper runs the full
     // 100k → 1M sweep.
