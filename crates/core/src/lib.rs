@@ -80,7 +80,7 @@
 //! and the result is bit-identical to the sequential pass.
 //!
 //! Measured on the `BT(n)` power-law instances of the `gather` microbench
-//! (`cargo run --release -p soar-bench --bin bench_gather`, `k = 16`, one
+//! (`soar experiment run gather-bench`, `k = 16`, one
 //! 2.x GHz core), against the pre-arena implementation that cloned children's
 //! tables and allocated four scratch buffers per node:
 //!
@@ -137,7 +137,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod analysis;
 pub mod api;
 pub mod brute;
 pub mod color;

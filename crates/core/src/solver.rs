@@ -46,8 +46,8 @@ impl Solution {
 
 /// Normalizes a cost to the all-red baseline, with the crate-wide convention that
 /// a zero baseline (no traffic at all) normalizes to `1.0`. The single home of
-/// that convention, shared by [`Solution::normalized_cost`], the reports of
-/// [`crate::api`] and the comparisons of [`crate::analysis`].
+/// that convention, shared by [`Solution::normalized_cost`] and the reports of
+/// [`crate::api`].
 pub(crate) fn normalize(cost: f64, baseline: f64) -> f64 {
     if baseline == 0.0 {
         1.0
@@ -174,6 +174,9 @@ mod tests {
         let tree = fig2_tree();
         let solution = solve(&tree, 2);
         assert!((solution.normalized_cost(&tree) - 20.0 / 51.0).abs() < 1e-12);
+        // No traffic at all: the zero baseline normalizes to 1.0.
+        let idle = builders::complete_binary_tree(7);
+        assert_eq!(solve(&idle, 2).normalized_cost(&idle), 1.0);
     }
 
     #[test]

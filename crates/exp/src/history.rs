@@ -19,7 +19,7 @@
 //!
 //! The `soar history` CLI subcommands (`report`, `check`) are thin shells over
 //! this module; the CI `bench-smoke` job uses `soar history check` to turn the
-//! `BENCH_gather.json` snapshot into a merge gate.
+//! `gather-bench` artifact into a merge gate.
 //!
 //! ```
 //! use soar_exp::history::{check, RegressionPolicy, Trajectory};

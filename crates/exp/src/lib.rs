@@ -29,8 +29,9 @@
 //!   perf-regression gate behind `soar history check`.
 //! * [`chart`] — [`Chart`] / [`Series`], the render views (CSV and aligned
 //!   tables) of an artifact.
-//! * [`perf`] — the allocation-free gather microbench behind
-//!   `BENCH_gather.json`, persisted in the same artifact format.
+//! * [`perf`] — the allocation-free gather microbench behind the
+//!   `gather-bench`, `gather-scale` and `obs-bench` specs, persisted in the
+//!   same artifact format.
 //!
 //! The root `soar` CLI (`soar experiment run|list|check`, `soar solve`,
 //! `soar sweep`, `soar compare`) is a thin shell over this crate.
@@ -69,7 +70,7 @@ pub use history::{HistoryError, RegressionPolicy, RegressionReport, Trajectory};
 pub use spec::{ExperimentKind, ExperimentSpec, Scale, ScenarioSpec, SpecValidationError};
 pub use template::TemplateError;
 
-/// One-stop imports for experiment drivers (the CLI, `soar-bench`, tests).
+/// One-stop imports for experiment drivers (the CLI, tests).
 pub mod prelude {
     pub use crate::artifact::{diff, DiffReport, EnvStamp, RunArtifact, Tolerances};
     pub use crate::chart::{Chart, Series};

@@ -1,4 +1,5 @@
-//! The allocation-free gather microbench behind `BENCH_gather.json`.
+//! The allocation-free gather microbench behind the `gather-bench`,
+//! `gather-scale` and `obs-bench` registry specs.
 //!
 //! One instrumented measurement per tree size: wall time of a fresh
 //! (allocate-every-time) SOAR-Gather versus a warm
@@ -44,15 +45,9 @@ pub struct GatherBenchPoint {
 }
 
 /// The `BT(n)` instance the microbench times (power-law leaf loads, constant
-/// rates, fixed seed — same family as the Fig. 9 scaling study), at the default
-/// [`GATHER_BENCH_BUDGET`].
-pub fn gather_bench_instance(n: usize) -> soar_core::api::Instance {
-    gather_bench_instance_with_budget(n, GATHER_BENCH_BUDGET)
-}
-
-/// [`gather_bench_instance`] with an explicit budget — the single definition of
-/// the benchmark scenario family, shared by the criterion bench, the
-/// `BENCH_gather.json` snapshot and the `gather-bench` registry spec.
+/// rates, fixed seed — same family as the Fig. 9 scaling study) — the single
+/// definition of the benchmark scenario family, shared by the `gather-bench`
+/// and `obs-bench` registry specs and `soar trace`.
 pub fn gather_bench_instance_with_budget(n: usize, budget: usize) -> soar_core::api::Instance {
     gather_bench_instance_shaped(n, budget, None)
 }
@@ -84,7 +79,7 @@ pub fn gather_bench_instance_shaped(
 
 /// Times one instance: `reps` fresh gathers vs `reps` warm-workspace gathers
 /// (after one untimed warm-up each).
-pub fn measure_gather(instance: &soar_core::api::Instance, reps: usize) -> GatherBenchPoint {
+fn measure_gather(instance: &soar_core::api::Instance, reps: usize) -> GatherBenchPoint {
     let tree = instance.tree();
     let k = instance.budget();
     let reps = reps.max(1);
@@ -114,15 +109,10 @@ pub fn measure_gather(instance: &soar_core::api::Instance, reps: usize) -> Gathe
     }
 }
 
-/// Runs the microbench: one point per size, with repetition counts scaled down
-/// for the larger trees so a smoke run stays fast.
-pub fn gather_microbench(sizes: &[usize], budget: usize) -> Vec<GatherBenchPoint> {
-    gather_microbench_shaped(sizes, budget, None)
-}
-
-/// [`gather_microbench`] over an explicit tree shape (see
-/// [`gather_bench_instance_shaped`]). Repetition counts scale down with size;
-/// the 100k+ `gather-scale` instances run twice each.
+/// Runs the microbench over one tree shape (see
+/// [`gather_bench_instance_shaped`]): one point per size. Repetition counts
+/// scale down with size so a smoke run stays fast; the 100k+ `gather-scale`
+/// instances run twice each.
 pub fn gather_microbench_shaped(
     sizes: &[usize],
     budget: usize,
@@ -172,7 +162,7 @@ impl GatherObsPoint {
 /// fastest rep, so frequency drift and scheduler interference — which hit
 /// both modes alike — cancel out of the overhead ratio instead of flaking
 /// the CI gate. Tracing is restored to its previous state afterwards.
-pub fn measure_gather_obs(instance: &soar_core::api::Instance, reps: usize) -> GatherObsPoint {
+fn measure_gather_obs(instance: &soar_core::api::Instance, reps: usize) -> GatherObsPoint {
     let tree = instance.tree();
     let k = instance.budget();
     let reps = reps.max(2);
@@ -282,39 +272,13 @@ pub fn microbench_charts(points: &[GatherBenchPoint]) -> Vec<Chart> {
     vec![wall, allocs, peak]
 }
 
-/// Reads microbench points back out of an artifact's charts (the inverse of
-/// [`microbench_charts`], used by perf-tracking tooling and the legacy-format
-/// compat path in `soar-bench`).
-pub fn points_from_charts(charts: &[Chart]) -> Option<Vec<GatherBenchPoint>> {
-    let wall = charts.first()?;
-    let allocs = charts.get(1)?.series.first()?;
-    let peak = charts.get(2)?.series.first()?;
-    let fresh = wall.series.first()?;
-    let warm = wall.series.get(1)?;
-    let mut points = Vec::new();
-    for (idx, &(x, fresh_ms)) in fresh.points.iter().enumerate() {
-        let &(_, warm_ms) = warm.points.get(idx)?;
-        let &(_, alloc_events) = allocs.points.get(idx)?;
-        let &(_, peak_bytes) = peak.points.get(idx)?;
-        points.push(GatherBenchPoint {
-            n_switches: x as usize,
-            budget: 0, // budget travels in the spec, not the charts
-            fresh_seconds: fresh_ms / 1e3,
-            warm_seconds: warm_ms / 1e3,
-            warm_alloc_events: alloc_events as usize,
-            peak_arena_bytes: peak_bytes as usize,
-        });
-    }
-    Some(points)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn microbench_measures_and_renders() {
-        let points = gather_microbench(&[128], 4);
+        let points = gather_microbench_shaped(&[128], 4, None);
         assert_eq!(points.len(), 1);
         let p = &points[0];
         assert_eq!(p.n_switches, 127);
@@ -326,11 +290,46 @@ mod tests {
         let charts = microbench_charts(&points);
         assert_eq!(charts.len(), 3);
         assert_eq!(charts[0].series.len(), 2);
-        let recovered = points_from_charts(&charts).unwrap();
-        assert_eq!(recovered.len(), 1);
-        assert_eq!(recovered[0].n_switches, 127);
-        assert_eq!(recovered[0].warm_alloc_events, 0);
-        assert!((recovered[0].fresh_seconds - p.fresh_seconds).abs() < 1e-12);
+        assert_eq!(
+            charts[0].series[0].points,
+            vec![(127.0, p.fresh_seconds * 1e3)]
+        );
+        assert_eq!(
+            charts[0].series[1].points,
+            vec![(127.0, p.warm_seconds * 1e3)]
+        );
+        assert_eq!(charts[1].series[0].points, vec![(127.0, 0.0)]);
+        assert_eq!(
+            charts[2].series[0].points,
+            vec![(127.0, p.peak_arena_bytes as f64)]
+        );
+    }
+
+    #[test]
+    fn microbench_point_measures_and_serializes() {
+        // A small stand-in instance so the test stays fast; the shape of the
+        // measurement (positive timings, zero warm allocations) is what matters.
+        let point = measure_gather(&gather_bench_instance_with_budget(128, 4), 2);
+        assert_eq!(point.n_switches, 127);
+        assert_eq!(point.budget, 4);
+        assert!(point.fresh_seconds > 0.0 && point.warm_seconds > 0.0);
+        assert_eq!(point.warm_alloc_events, 0, "warm gather must not allocate");
+        assert!(point.peak_arena_bytes > 0);
+
+        let json = serde_json::to_string(&point).unwrap();
+        let recovered: GatherBenchPoint = serde_json::from_str(&json).unwrap();
+        assert_eq!(recovered, point);
+
+        let spec = crate::registry::by_name("gather-bench", crate::Scale::Quick).unwrap();
+        let artifact =
+            crate::RunArtifact::new(spec, microbench_charts(std::slice::from_ref(&point)), None);
+        assert_eq!(artifact.spec.name, "gather-bench");
+        assert_eq!(artifact.timing_charts, vec![0]);
+        let reparsed = crate::RunArtifact::from_json(&artifact.to_json()).unwrap();
+        assert_eq!(reparsed.charts, artifact.charts);
+        assert_eq!(reparsed.charts[1].series[0].points, vec![(127.0, 0.0)]);
+        let (_, warm_ms) = reparsed.charts[0].series[1].points[0];
+        assert!((warm_ms / 1e3 - point.warm_seconds).abs() < 1e-12);
     }
 
     #[test]

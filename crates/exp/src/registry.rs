@@ -3,10 +3,9 @@
 //! as ready-made [`ExperimentSpec`]s.
 //!
 //! Each constructor encodes the exact topology sizes, load/rate grids, budgets
-//! and — importantly — the per-figure seed strides of the historical
-//! `soar-bench` experiment functions, so a registry spec reproduces the same
-//! numbers the bench harness has always printed. `soar experiment list` prints
-//! this registry; `soar experiment run <name>` executes one entry.
+//! and per-figure seed strides, so a registry spec reproduces the same numbers
+//! run after run. `soar experiment list` prints this registry;
+//! `soar experiment run <name> [--csv]` executes and prints one entry.
 
 use crate::spec::{
     ByteSeriesSpec, ExperimentKind, ExperimentSpec, GridCell, OnlineCell, OnlineSweep, Scale,
@@ -67,9 +66,8 @@ fn exponents(scale: Scale) -> Vec<u32> {
 }
 
 /// The three link-rate regimes of Sec. 5 (Figs. 6a-6c and 7a-7c), in the
-/// paper's plotting order. The single source of truth for the grid orderings —
-/// `soar_bench::instances::rate_schemes` delegates here.
-pub fn rate_schemes() -> [RateScheme; 3] {
+/// paper's plotting order. The single source of truth for the grid orderings.
+fn rate_schemes() -> [RateScheme; 3] {
     [
         RateScheme::paper_constant(),
         RateScheme::paper_linear(),
@@ -127,9 +125,8 @@ fn fig3() -> ExperimentSpec {
 
 /// The two leaf-load distributions compared throughout Sec. 5, in the paper's
 /// plotting order (power-law on top), with their figure-caption labels. The
-/// single source of truth for the grid orderings — `soar_bench::instances::LoadKind::ALL`
-/// mirrors this order.
-pub fn paper_loads() -> [(LoadSpec, &'static str); 2] {
+/// single source of truth for the grid orderings.
+fn paper_loads() -> [(LoadSpec, &'static str); 2] {
     [
         (LoadSpec::paper_power_law(), "power-law"),
         (LoadSpec::paper_uniform(), "uniform"),

@@ -321,7 +321,7 @@ pub enum ExperimentKind {
         /// `rep * seed_stride + exp`.
         seed_stride: u64,
     },
-    /// The allocation-free gather microbench behind `BENCH_gather.json`: fresh
+    /// The allocation-free gather microbench (`gather-bench`, `gather-scale`): fresh
     /// vs warm-workspace wall times, warm allocation events and peak arena
     /// footprint per tree size. Wall-time charts are *timing* charts.
     GatherMicrobench {
@@ -336,7 +336,7 @@ pub enum ExperimentKind {
         #[serde(default, skip_serializing_if = "Option::is_none")]
         arity: Option<usize>,
     },
-    /// The tracing-overhead microbench behind `BENCH_gather_obs.json`: the
+    /// The tracing-overhead microbench (`obs-bench`): the
     /// same warm gather timed with span tracing disabled vs enabled (spans
     /// recorded into per-thread rings, never drained — the steady state of a
     /// daemon whose `/metrics` endpoint is scraped occasionally). Both charts

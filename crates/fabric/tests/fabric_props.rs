@@ -15,7 +15,7 @@ use soar_topology::Tree;
 
 /// A random fabric of 2–3 cores totalling at most ~40 switches, with random
 /// loads, rates and availability — the adversarial end of the small-fabric
-/// space (ISSUE acceptance criterion).
+/// space.
 fn random_fabric(rng: &mut StdRng) -> FabricInstance {
     let cores = rng.random_range(2..=3);
     let trees: Vec<Tree> = (0..cores)

@@ -18,7 +18,8 @@
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Events each ring can hold before the oldest are overwritten. A traced 4k
+/// Events each ring can hold before the oldest are overwritten (and counted
+/// in [`ThreadEvents::dropped`]). A traced 4k
 /// solve emits well under a thousand events per thread; the headroom is for
 /// long daemon sessions where only the tail of the trace is of interest.
 pub const RING_CAP: usize = 1 << 14;
@@ -116,9 +117,10 @@ impl SpanRing {
         self.head.store(head + 1, Ordering::Release);
     }
 
-    /// Copies out every currently readable event, oldest first. Slots being
-    /// rewritten concurrently are skipped (seqlock check).
-    fn snapshot(&self) -> Vec<RawEvent> {
+    /// Copies out every currently readable event, oldest first, plus the
+    /// number of events the ring has overwritten. Slots being rewritten
+    /// concurrently are skipped (seqlock check).
+    fn snapshot(&self) -> (Vec<RawEvent>, u64) {
         let head = self.head.load(Ordering::Acquire);
         let lo = head.saturating_sub(RING_CAP as u64);
         let mut out = Vec::with_capacity((head - lo) as usize);
@@ -145,7 +147,7 @@ impl SpanRing {
                 arg,
             });
         }
-        out
+        (out, lo)
     }
 }
 
@@ -171,6 +173,9 @@ pub struct ThreadEvents {
     pub thread_name: String,
     /// Decoded events, oldest first.
     pub events: Vec<RawEvent>,
+    /// Events lost because the ring wrapped before this snapshot (the oldest
+    /// `dropped` events this thread ever recorded).
+    pub dropped: u64,
 }
 
 struct ThreadEntry {
@@ -201,10 +206,14 @@ pub fn snapshot() -> Vec<ThreadEvents> {
     let threads = THREADS.lock().expect("span thread list poisoned");
     threads
         .iter()
-        .map(|t| ThreadEvents {
-            tid: t.tid,
-            thread_name: t.thread_name.clone(),
-            events: t.ring.snapshot(),
+        .map(|t| {
+            let (events, dropped) = t.ring.snapshot();
+            ThreadEvents {
+                tid: t.tid,
+                thread_name: t.thread_name.clone(),
+                events,
+                dropped,
+            }
         })
         .collect()
 }
@@ -263,7 +272,8 @@ mod tests {
         let id = intern("test_ring_roundtrip");
         ring.push(id, true, 10, 7);
         ring.push(id, false, 25, 0);
-        let events = ring.snapshot();
+        let (events, dropped) = ring.snapshot();
+        assert_eq!(dropped, 0);
         assert_eq!(events.len(), 2);
         assert_eq!(
             events[0],
@@ -286,7 +296,8 @@ mod tests {
         for i in 0..total {
             ring.push(id, i % 2 == 0, i, i);
         }
-        let events = ring.snapshot();
+        let (events, dropped) = ring.snapshot();
+        assert_eq!(dropped, 10);
         assert_eq!(events.len(), RING_CAP);
         assert_eq!(events.first().unwrap().ts_ns, total - RING_CAP as u64);
         assert_eq!(events.last().unwrap().ts_ns, total - 1);

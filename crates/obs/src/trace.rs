@@ -146,6 +146,7 @@ mod tests {
                 ev("inner", false, 20, 0),
                 ev("outer", false, 50, 0),
             ],
+            dropped: 0,
         }];
         let spans = complete_spans(&threads);
         assert_eq!(spans.len(), 2);
@@ -167,6 +168,7 @@ mod tests {
                 ev("whole", false, 30, 0),
                 ev("open", true, 40, 0), // begin without end (still running)
             ],
+            dropped: 0,
         }];
         let spans = complete_spans(&threads);
         assert_eq!(spans.len(), 1);
@@ -179,6 +181,7 @@ mod tests {
             tid: 2,
             thread_name: "worker \"a\"".into(),
             events: vec![ev("gather", true, 1_000, 4), ev("gather", false, 3_500, 0)],
+            dropped: 0,
         }];
         let json = chrome_trace_json(&threads);
         assert!(json.starts_with("{\"traceEvents\":["));

@@ -38,8 +38,7 @@
 //!   (`soar serve --obs-addr`);
 //! * [`exp`] — the declarative experiment layer
 //!   ([`ExperimentSpec`](exp::ExperimentSpec) → [`RunArtifact`](exp::RunArtifact)
-//!   with golden-snapshot diffing) behind the `soar` CLI binary and the
-//!   `soar-bench` figure harness.
+//!   with golden-snapshot diffing) behind the `soar` CLI binary.
 //!
 //! The package also ships the `soar` CLI (`cargo run --bin soar -- --help`):
 //! `solve` / `sweep` / `compare` over serialized

@@ -706,9 +706,8 @@ fn cmd_experiment_run(args: &[String]) -> CliResult {
         // For *registry* names the override skips single-shot specs (fig2,
         // fig3, fig11a, gather-bench): they average nothing, so changing their
         // repetition count would only make the stored spec deviate from goldens
-        // without changing any value (same guard as
-        // `soar_bench::ExperimentConfig::spec`). User spec files always honor
-        // an explicit --reps — the author asked for it.
+        // without changing any value. User spec files always honor an explicit
+        // --reps — the author asked for it.
         if let Some(reps) = reps {
             if from_file || spec.repetitions != 1 {
                 spec.repetitions = reps;
@@ -1592,7 +1591,7 @@ root `solve` span — workspace reset, per-level gather, traceback — and the
 fraction of the solve's wall time its direct children cover.
 
 --assert-coverage fails with exit 1 when that fraction falls below PCT percent
-(the obs-smoke CI job gates at 95).";
+(the obs-smoke CI job gates at 95), or when any span ring overwrote events.";
 
 fn cmd_trace(args: &[String]) -> CliResult {
     let mut switches: usize = 4096;
@@ -1653,8 +1652,9 @@ fn cmd_trace(args: &[String]) -> CliResult {
         "solved BT family, {} switches, k = {k}: cost {cost:.3} with {blue} blue switches",
         tree.n_switches()
     );
+    let dropped: u64 = threads.iter().map(|t| t.dropped).sum();
     println!(
-        "trace written to {out_path} ({} spans across {} threads)",
+        "trace written to {out_path} ({} spans across {} threads, {dropped} events dropped)",
         spans.len(),
         threads.iter().filter(|t| !t.events.is_empty()).count()
     );
@@ -1696,6 +1696,13 @@ fn cmd_trace(args: &[String]) -> CliResult {
         coverage * 100.0
     );
     if let Some(min) = assert_coverage {
+        if dropped > 0 {
+            return Err(CliError::failure(format!(
+                "{dropped} span events were overwritten before the drain (ring capacity {} \
+                 per thread); the trace is incomplete",
+                soar::obs::span::RING_CAP
+            )));
+        }
         if coverage < min {
             return Err(CliError::failure(format!(
                 "span coverage {:.1}% is below the required {:.1}%",

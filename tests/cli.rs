@@ -254,6 +254,21 @@ fn experiment_run_and_check_pass_on_a_self_generated_golden() {
     assert!(stderr(&output).contains("deviates"), "{}", stderr(&output));
 }
 
+/// `--reps` reaches registry specs that average over repetitions, but leaves
+/// single-shot specs at 1 so their stored spec keeps matching its golden.
+#[test]
+fn reps_override_skips_single_shot_registry_specs() {
+    let tmp = TempDir::new("reps");
+    let dir = tmp.path_str("out");
+    for (name, reps, stored) in [("fig2", "7", 1), ("fabric", "2", 2)] {
+        let output = run(&["experiment", "run", name, "--reps", reps, "--out-dir", &dir]);
+        assert_eq!(output.status.code(), Some(0), "{}", stderr(&output));
+        let json = std::fs::read_to_string(format!("{dir}/{name}.json")).unwrap();
+        let artifact = RunArtifact::from_json(&json).unwrap();
+        assert_eq!(artifact.spec.repetitions, stored, "{name} --reps {reps}");
+    }
+}
+
 #[test]
 fn fresh_runs_match_the_committed_goldens() {
     let tmp = TempDir::new("golden");

@@ -122,10 +122,9 @@ fn single_leaf_updates_write_strictly_fewer_cells() {
 
 #[test]
 fn four_k_switch_single_leaf_update_saves_at_least_5x_cell_writes() {
-    // The acceptance bar of the online subsystem, also asserted by the
-    // dynamic_churn criterion bench: one leaf change on a 4k-switch BT at
-    // k = 16 performs >= 5x fewer DP cell writes than from-scratch. (The
-    // actual ratio is ~300x: 13 path nodes of 4095.)
+    // The acceptance bar of the online subsystem: one leaf change on a
+    // 4k-switch BT at k = 16 performs >= 5x fewer DP cell writes than
+    // from-scratch. (The actual ratio is ~300x: 13 path nodes of 4095.)
     let mut tree = builders::complete_binary_tree_bt(4096);
     let mut rng = StdRng::seed_from_u64(1);
     tree.apply_leaf_loads(&LoadSpec::paper_power_law(), &mut rng);
