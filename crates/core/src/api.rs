@@ -21,7 +21,7 @@
 //!   points that fan instances out across the [`soar_pool`] work-stealing pool
 //!   and reuse one SOAR-Gather pass across all budgets of a sweep. Every pool
 //!   worker carries a warm per-thread
-//!   [`SolverWorkspace`](crate::workspace::SolverWorkspace), so batches run
+//!   [`SolverWorkspace`], so batches run
 //!   allocation-free after each worker's first instance, and large instances
 //!   additionally parallelize the gather *within* the tree, level by level.
 //!

@@ -7,6 +7,7 @@
 //! each child how many blue nodes to place in its subtree (replaying the recorded
 //! `mSplit` decisions) and at what distance from the nearest barrier it now sits.
 
+use crate::node_dp::color_step;
 use crate::tables::{Color, GatherTables};
 use soar_reduce::Coloring;
 use soar_topology::{NodeId, Tree, ROOT};
@@ -53,7 +54,14 @@ pub fn soar_color_exact_into(
     stack.push((ROOT, i, 1));
     let stack_capacity = stack.capacity();
     while let Some((v, budget, l)) = stack.pop() {
-        assign(tree, tables, v, budget, l, coloring, stack);
+        // `tables.node(v)` borrows the arena, so a step allocates nothing; each
+        // child goes onto the work list, c_C first.
+        let children = tree.children(v);
+        let push = |idx: usize, share, child_l| stack.push((children[idx], share, child_l));
+        let table = tables.node(v);
+        if color_step(table, children.len(), tree.available(v), l, budget, push) == Color::Blue {
+            coloring.set_blue(v);
+        }
     }
     grew + usize::from(stack.capacity() != stack_capacity)
 }
@@ -64,62 +72,6 @@ pub fn soar_color(tree: &Tree, tables: &GatherTables) -> (Coloring, f64) {
     let (best_i, best_cost) = tables.optimum();
     let coloring = soar_color_exact(tree, tables, best_i);
     (coloring, best_cost)
-}
-
-/// Processes one switch: decides its color and pushes its children onto the work list.
-///
-/// `tables.node(v)` hands back a borrowed [`NodeTableView`](crate::tables::NodeTableView)
-/// into the gather arena — the traceback allocates nothing beyond its work list.
-fn assign(
-    tree: &Tree,
-    tables: &GatherTables,
-    v: NodeId,
-    budget: usize,
-    l: usize,
-    coloring: &mut Coloring,
-    stack: &mut Vec<(NodeId, usize, usize)>,
-) {
-    // Reads at `budget` past a node's last stored column return that column:
-    // the value, color and split the uncapped table holds there.
-    let table = tables.node(v);
-    if tree.is_leaf(v) {
-        // A leaf goes blue when it has budget, is available, and aggregating does not
-        // cost more than forwarding its own workers (Alg. 4 colors any budgeted leaf;
-        // the extra guard only matters for degenerate zero-load leaves).
-        if budget > 0
-            && tree.available(v)
-            && table.y(l, budget, Color::Blue) <= table.y(l, budget, Color::Red)
-        {
-            coloring.set_blue(v);
-        }
-        return;
-    }
-
-    let blue = table.y(l, budget, Color::Blue) < table.y(l, budget, Color::Red);
-    if blue {
-        coloring.set_blue(v);
-    }
-    let color = if blue { Color::Blue } else { Color::Red };
-    // Children sit at distance 1 from their barrier if v is blue, ℓ + 1 otherwise.
-    let child_l = if blue { 1 } else { l + 1 };
-
-    let children = tree.children(v);
-    let mut remaining = budget;
-    // Children are peeled off in reverse order (c_C first), mirroring the prefix
-    // structure of the gather recursion: the split recorded at stage m tells how many
-    // blue nodes go to c_m, the rest stays with the prefix c_1 .. c_{m-1} (and v).
-    for m in (2..=children.len()).rev() {
-        let j = table.split(m, l, remaining, color) as usize;
-        stack.push((children[m - 1], j, child_l));
-        remaining -= j;
-    }
-    // The first child receives whatever remains, minus the blue node consumed by v.
-    let first_share = if blue {
-        remaining.saturating_sub(1)
-    } else {
-        remaining
-    };
-    stack.push((children[0], first_share, child_l));
 }
 
 #[cfg(test)]

@@ -14,9 +14,9 @@
 //! order (all children of a node sit exactly one level deeper) that doubles as the
 //! parallel schedule: nodes of one level touch disjoint arena blocks and only read
 //! the already-finalized deeper region. One level-ordered driver,
-//! [`run_gather`], fills either every node (a full pass) or only an
+//! `run_gather`, fills either every node (a full pass) or only an
 //! ancestor-closed dirty set (the incremental update behind `soar-online`);
-//! [`run_gather_parallel`] fills each level's stripes concurrently on
+//! `run_gather_parallel` fills each level's stripes concurrently on
 //! [`soar-pool`](soar_pool). Both carve a level's borrows with one helper,
 //! `carve_level`, and fill a node with one function, `LevelFill::fill_one`,
 //! which is what keeps every pass bit-identical by construction. Children's `X`

@@ -48,7 +48,7 @@
 //!
 //! The lower-level pieces remain available for callers that want direct control:
 //!
-//! * [`solve`] / [`solver`] — the end-to-end optimal solver on a bare [`Tree`]
+//! * [`solve`] / [`solver`] — the end-to-end optimal solver on a bare [`Tree`](soar_topology::Tree)
 //!   (`O(n · h(T) · k²)` per Theorem 4.1);
 //! * [`gather`] — SOAR-Gather (Algorithm 3), the bottom-up dynamic program over the
 //!   parameterized potential function, exposing its tables for inspection;
@@ -157,7 +157,7 @@ pub use gather::soar_gather;
 pub use node_dp::DpKernel;
 pub use solver::{solutions_for_all_budgets, solve, solve_with_tables, Solution};
 pub use strategies::Strategy;
-pub use tables::{Color, DpTable, GatherTables, NodeTable, NodeTableView};
+pub use tables::{Color, GatherTables, NodeTableView};
 pub use workspace::SolverWorkspace;
 
 /// Convenient prelude re-exporting the most commonly used items.

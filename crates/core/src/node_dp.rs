@@ -9,9 +9,12 @@
 //!
 //! This is exactly the information a switch has in the *distributed* rendition of
 //! SOAR-Gather (Sec. 4.2), where children push their `X` tables upwards; the
-//! `soar-dataplane` crate drives this same function from message-passing switch actors,
-//! while [`crate::gather`] drives it from a centralized post-order traversal. Keeping a
-//! single implementation guarantees the two agree.
+//! `soar-dataplane` crate drives [`fill_node`] from message-passing switch actors,
+//! while [`crate::gather`] drives it from a level-ordered traversal of the arena.
+//! Both size node `v`'s table at `min(k, s_v) + 1` columns, so an actor's table is
+//! the arena's block bit for bit (the dataplane's `actor_tables` test checks it).
+//! SOAR-Color is per-switch too: [`color_step`] is its one rule, run by the
+//! centralized traceback and by the actors alike.
 //!
 //! ## Hot-path shape
 //!
@@ -23,11 +26,8 @@
 //! paid once per `(child, ℓ)` instead of once per `(child, ℓ, i, j)` lookup, and
 //! the child's distance-1 row (the only row the blue recursion ever reads) is
 //! hoisted out of the `ℓ` loop entirely.
-//!
-//! [`compute_node_table`] remains the allocating convenience wrapper used by the
-//! dataplane's switch actors, which own their tables outright.
 
-use crate::tables::{Color, DpTable, NodeTable, INF};
+use crate::tables::{Color, NodeTableView, INF};
 
 /// Which `mCost` inner-loop implementation a gather pass runs.
 ///
@@ -140,8 +140,8 @@ fn effective_width(row: &[f64]) -> usize {
 }
 
 /// Mutable destination slices for one node's table, borrowed from the
-/// [`GatherTables`](crate::tables::GatherTables) arena (or from an owned
-/// [`NodeTable`]'s buffers). All slices are `n_l · n_i` cells, row-major in `ℓ`,
+/// [`GatherTables`](crate::tables::GatherTables) arena (or from a switch
+/// actor's own buffers). All slices are `n_l · n_i` cells, row-major in `ℓ`,
 /// except `splits` which is `(C(v) - 1) · n_l · n_i · 2`, where `n_i` is the
 /// node's own column count.
 pub struct NodeTableMut<'a> {
@@ -159,8 +159,9 @@ pub struct NodeTableMut<'a> {
 ///
 /// * `path_rho[ℓ]` must hold `ρ(v, Aᵉ_v)` for `ℓ = 0 ..= D(v) + 1`; its length is
 ///   the number of rows `n_l`.
-/// * `n_i` is the node's column count: `k + 1`, or `min(k, s_v) + 1` in the
-///   capped arena layout.
+/// * `n_i` is the node's column count, `min(k, s_v) + 1` (any width from
+///   there up to `k + 1` holds the same values; the tests' uniform-width
+///   oracle uses `k + 1`).
 /// * `children_x` yields each child's flat `X` table in child order — the
 ///   child's own table, exactly `n_l + 1` rows of at most `n_i` columns (its
 ///   column count is the slice length over `n_l + 1`); it must yield exactly
@@ -460,94 +461,141 @@ fn mcost_row_pruned(
     *pruned_splits += skipped;
 }
 
-/// Computes the full DP table of one switch from its children's `X` tables, as an
-/// owned [`NodeTable`].
+/// One SOAR-Color step (Alg. 4) at a switch with `n_children` children and
+/// DP table `table`, which must place `budget` blue nodes in its subtree and
+/// sits at distance `l` from its nearest barrier (a blue ancestor or the
+/// destination). Returns the switch's color and calls
+/// `assign(child_idx, share, child_l)` once per child, `c_C` first and `c_1`
+/// last: `share` blue nodes go to the child's subtree, which sits at distance
+/// `child_l` from its barrier. Allocates nothing.
 ///
-/// * `path_rho[ℓ]` must hold `ρ(v, Aᵉ_v)` for `ℓ = 0 ..= D(v) + 1`.
-/// * `children_x[m]` is the flat `X` table of the `m`-th child (row-major in `ℓ`, with
-///   `k + 1` columns and `D(v) + 3` rows — i.e. the child's own table).
+/// * A leaf goes blue when it has budget, is `available`, and aggregating
+///   does not cost more than forwarding its own workers (Alg. 4 colors any
+///   budgeted leaf; the extra guard only matters for zero-load leaves).
+/// * An internal switch goes blue when `Y(ℓ, i, B) < Y(ℓ, i, R)`, then replays
+///   the recorded splits: stage `m` tells how many blue nodes go to `c_m`,
+///   the rest stays with the prefix `c_1 .. c_{m-1}` (and with `v` itself,
+///   which takes one of them when blue).
 ///
-/// The returned table contains `X_v`, the final-stage `Y_v(·, ·, B/R)` and the recorded
-/// split decisions for children `m ≥ 2`. This is the entry point of the
-/// *distributed* rendition (`soar-dataplane`), where every switch owns its table;
-/// the centralized gather instead fills arena slices via [`fill_node`] and never
-/// allocates per node.
-pub fn compute_node_table(
-    path_rho: &[f64],
-    load: u64,
-    available: bool,
-    k: usize,
-    children_x: &[Vec<f64>],
-) -> NodeTable {
-    let n_l = path_rho.len();
-    let mut table = NodeTable::new(n_l, k + 1, children_x.len(), path_rho.to_vec());
-    let mut scratch = DpScratch::new();
-    fill_node(
-        NodeTableMut {
-            x: &mut table.x,
-            y_blue: &mut table.y_blue,
-            y_red: &mut table.y_red,
-            splits: &mut table.splits,
-        },
-        path_rho,
-        load,
-        available,
-        k + 1,
-        children_x.len(),
-        children_x.iter().map(|v| v.as_slice()),
-        &mut scratch,
-        DpKernel::Pruned,
-    );
-    table
-}
-
-/// Given a switch's own table and its actual distance `ℓ*` to the nearest barrier plus
-/// the number of blue nodes `i` it must distribute, decides the switch's color exactly
-/// as SOAR-Color does (Alg. 4, line 6; leaves are handled by the caller).
-///
-/// Generic over [`DpTable`] so it serves both the dataplane's owned tables and the
-/// arena-backed views of the centralized solver.
-pub fn decide_color<T: DpTable + ?Sized>(table: &T, l: usize, i: usize) -> Color {
-    if table.y(l, i, Color::Blue) < table.y(l, i, Color::Red) {
-        Color::Blue
-    } else {
-        Color::Red
-    }
-}
-
-/// Computes how many blue nodes each child receives when `v` (whose table is given) has
-/// `i` blue nodes to distribute, sits at distance `ℓ*` from its barrier, and takes the
-/// given color. Returns one entry per child, in child order (Alg. 4, lines 9-16).
-pub fn child_budgets<T: DpTable + ?Sized>(
-    table: &T,
+/// Reads at `budget` past the table's last column return that column: the
+/// value, color and split the uncapped table holds there.
+#[inline]
+pub fn color_step(
+    table: NodeTableView<'_>,
     n_children: usize,
+    available: bool,
     l: usize,
-    i: usize,
-    color: Color,
-) -> Vec<usize> {
-    let mut budgets = vec![0usize; n_children];
-    let mut remaining = i;
+    budget: usize,
+    mut assign: impl FnMut(usize, usize, usize),
+) -> Color {
+    let y = |color| table.y(l, budget, color);
+    let blue = if n_children == 0 {
+        budget > 0 && available && y(Color::Blue) <= y(Color::Red)
+    } else {
+        y(Color::Blue) < y(Color::Red)
+    };
+    let color = if blue { Color::Blue } else { Color::Red };
+    if n_children == 0 {
+        return color;
+    }
+    // Children sit at distance 1 from their barrier if v is blue, ℓ + 1 otherwise.
+    let child_l = if blue { 1 } else { l + 1 };
+    let mut remaining = budget;
     for m in (2..=n_children).rev() {
         let j = table.split(m, l, remaining, color) as usize;
-        budgets[m - 1] = j;
+        assign(m - 1, j, child_l);
         remaining -= j;
     }
-    if n_children >= 1 {
-        budgets[0] = match color {
-            Color::Blue => remaining.saturating_sub(1),
-            Color::Red => remaining,
-        };
-    }
-    budgets
+    let first_share = if blue {
+        remaining.saturating_sub(1)
+    } else {
+        remaining
+    };
+    assign(0, first_share, child_l);
+    color
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// One switch's table in owned buffers, filled by [`fill_node`] with the
+    /// production kernel and read through a [`NodeTableView`].
+    struct OwnedTable {
+        n_i: usize,
+        rho: Vec<f64>,
+        x: Vec<f64>,
+        y_blue: Vec<f64>,
+        y_red: Vec<f64>,
+        splits: Vec<u32>,
+    }
+
+    impl OwnedTable {
+        fn fill(
+            rho: &[f64],
+            load: u64,
+            available: bool,
+            n_i: usize,
+            children: &[Vec<f64>],
+        ) -> Self {
+            let cells = rho.len() * n_i;
+            let mut table = OwnedTable {
+                n_i,
+                rho: rho.to_vec(),
+                x: vec![0.0; cells],
+                y_blue: vec![0.0; cells],
+                y_red: vec![0.0; cells],
+                splits: vec![0; children.len().saturating_sub(1) * cells * 2],
+            };
+            fill_node(
+                NodeTableMut {
+                    x: &mut table.x,
+                    y_blue: &mut table.y_blue,
+                    y_red: &mut table.y_red,
+                    splits: &mut table.splits,
+                },
+                rho,
+                load,
+                available,
+                n_i,
+                children.len(),
+                children.iter().map(Vec::as_slice),
+                &mut DpScratch::new(),
+                DpKernel::Pruned,
+            );
+            table
+        }
+
+        fn view(&self) -> NodeTableView<'_> {
+            NodeTableView::new(
+                self.n_i,
+                &self.rho,
+                &self.x,
+                &self.y_blue,
+                &self.y_red,
+                &self.splits,
+            )
+        }
+    }
+
+    /// A child's `X` table with `rows` rows and `k + 1` columns:
+    /// `X(ℓ, 0) = L·ℓ` and `X(ℓ, i ≥ 1) = ℓ`, the table of a unit-rate leaf
+    /// with load `L ≥ 1`.
+    fn leaf_x(load: f64, rows: usize, k: usize) -> Vec<f64> {
+        let mut x = vec![0.0; rows * (k + 1)];
+        for l in 0..rows {
+            x[l * (k + 1)] = load * l as f64;
+            for i in 1..=k {
+                x[l * (k + 1) + i] = (l as f64).min(load * l as f64);
+            }
+        }
+        x
+    }
+
     #[test]
     fn leaf_table_values() {
-        let table = compute_node_table(&[0.0, 1.0, 2.0], 3, true, 2, &[]);
+        let owned = OwnedTable::fill(&[0.0, 1.0, 2.0], 3, true, 3, &[]);
+        let table = owned.view();
         assert_eq!(table.x(1, 0), 3.0);
         assert_eq!(table.x(1, 1), 1.0);
         assert_eq!(table.x(2, 0), 6.0);
@@ -555,7 +603,8 @@ mod tests {
         assert_eq!(table.y(2, 1, Color::Red), 6.0);
         assert_eq!(table.y(2, 1, Color::Blue), 2.0);
 
-        let unavailable = compute_node_table(&[0.0, 1.0], 3, false, 2, &[]);
+        let owned = OwnedTable::fill(&[0.0, 1.0], 3, false, 3, &[]);
+        let unavailable = owned.view();
         assert_eq!(unavailable.x(1, 2), 3.0);
         assert_eq!(unavailable.y(1, 2, Color::Blue), INF);
     }
@@ -565,17 +614,9 @@ mod tests {
         // Reproduce the left internal switch of Fig. 5 (children with loads 2 and 6,
         // unit rates): its children's X tables are X(ℓ, 0) = L·ℓ and X(ℓ, i ≥ 1) = ℓ.
         let k = 2;
-        let child = |load: f64| -> Vec<f64> {
-            let mut x = vec![0.0; 4 * (k + 1)];
-            for l in 0..4 {
-                x[l * (k + 1)] = load * l as f64;
-                for i in 1..=k {
-                    x[l * (k + 1) + i] = (l as f64).min(load * l as f64);
-                }
-            }
-            x
-        };
-        let table = compute_node_table(&[0.0, 1.0, 2.0], 0, true, k, &[child(2.0), child(6.0)]);
+        let children = [leaf_x(2.0, 4, k), leaf_x(6.0, 4, k)];
+        let owned = OwnedTable::fill(&[0.0, 1.0, 2.0], 0, true, k + 1, &children);
+        let table = owned.view();
         assert_eq!(table.x(0, 0), 8.0);
         assert_eq!(table.x(0, 1), 3.0);
         assert_eq!(table.x(0, 2), 2.0);
@@ -585,50 +626,51 @@ mod tests {
     }
 
     #[test]
-    fn decide_color_and_child_budgets() {
+    fn color_step_decides_color_and_splits() {
         let k = 2;
-        let child = |load: f64| -> Vec<f64> {
-            let mut x = vec![0.0; 4 * (k + 1)];
-            for l in 0..4 {
-                x[l * (k + 1)] = load * l as f64;
-                for i in 1..=k {
-                    x[l * (k + 1) + i] = (l as f64).min(load * l as f64);
-                }
-            }
-            x
+        let children = [leaf_x(2.0, 4, k), leaf_x(6.0, 4, k)];
+        let owned = OwnedTable::fill(&[0.0, 1.0, 2.0], 0, true, k + 1, &children);
+        let step = |budget: usize| {
+            let mut shares = [usize::MAX; 2];
+            let mut order = Vec::new();
+            let color = color_step(owned.view(), 2, true, 1, budget, |idx, share, child_l| {
+                shares[idx] = share;
+                order.push(idx);
+                assert_eq!(child_l, 2, "children of a red switch sit at ℓ + 1");
+            });
+            assert_eq!(order, vec![1, 0], "c_C first, c_1 last");
+            (color, shares)
         };
-        let table = compute_node_table(&[0.0, 1.0, 2.0], 0, true, k, &[child(2.0), child(6.0)]);
         // At ℓ = 1 with i = 1 the red configuration (child-2 blue) is cheaper than
         // being blue itself: X(1,1) = 6 comes from the red row.
-        assert_eq!(decide_color(&table, 1, 1), Color::Red);
-        let budgets = child_budgets(&table, 2, 1, 1, Color::Red);
+        let (color, budgets) = step(1);
+        assert_eq!(color, Color::Red);
         assert_eq!(budgets.iter().sum::<usize>(), 1);
-        assert_eq!(
-            budgets,
-            vec![0, 1],
-            "the heavy child receives the blue node"
-        );
+        assert_eq!(budgets, [0, 1], "the heavy child receives the blue node");
 
         // With i = 0 nothing is distributed.
-        assert_eq!(child_budgets(&table, 2, 1, 0, Color::Red), vec![0, 0]);
+        assert_eq!(step(0), (Color::Red, [0, 0]));
+
+        // A leaf colors itself and assigns nothing.
+        let leaf = OwnedTable::fill(&[0.0, 1.0, 2.0], 3, true, 3, &[]);
+        let no_child = |_: usize, _: usize, _: usize| panic!("a leaf has no children");
+        assert_eq!(
+            color_step(leaf.view(), 0, true, 1, 1, no_child),
+            Color::Blue
+        );
+        assert_eq!(
+            color_step(leaf.view(), 0, false, 1, 1, no_child),
+            Color::Red
+        );
+        assert_eq!(color_step(leaf.view(), 0, true, 1, 0, no_child), Color::Red);
     }
 
     #[test]
     fn scratch_reuse_is_allocation_free_and_result_invariant() {
         let k = 3;
-        let child = |load: f64| -> Vec<f64> {
-            let mut x = vec![0.0; 5 * (k + 1)];
-            for l in 0..5 {
-                x[l * (k + 1)] = load * l as f64;
-                for i in 1..=k {
-                    x[l * (k + 1) + i] = (l as f64).min(load * l as f64);
-                }
-            }
-            x
-        };
-        let children: Vec<Vec<f64>> = vec![child(2.0), child(6.0), child(5.0)];
+        let children = vec![leaf_x(2.0, 5, k), leaf_x(6.0, 5, k), leaf_x(5.0, 5, k)];
         let child_slices: Vec<&[f64]> = children.iter().map(|v| v.as_slice()).collect();
-        let reference = compute_node_table(&[0.0, 1.0, 2.0, 3.0], 1, true, k, &children);
+        let reference = OwnedTable::fill(&[0.0, 1.0, 2.0, 3.0], 1, true, k + 1, &children);
 
         let mut scratch = DpScratch::new();
         let n_l = 4;
@@ -663,7 +705,7 @@ mod tests {
             }
             runs.push((x, yb, yr, splits));
         }
-        // Every reuse round is bit-identical to the first and to the owned wrapper.
+        // Every reuse round is bit-identical to the first and to the pruned fill.
         assert_eq!(runs[0], runs[1]);
         assert_eq!(runs[1], runs[2]);
         assert_eq!(runs[0].0, reference.x);

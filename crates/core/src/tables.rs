@@ -35,17 +35,18 @@
 //! `i`. Hence for `i ≤ s_v` the candidate list the fill evaluates is the
 //! uncapped one bit for bit (a child read at `j ≥ w_c` clamps to the child's
 //! plateau, which is what the uncapped child holds there), and for `i > s_v`
-//! the clamped value, split and traceback step are the ones at `s_v`. The
-//! owned [`NodeTable`] of the distributed rendition keeps uniform `k + 1`
-//! columns; the same fill serves both, because with uniform widths no read
-//! ever clamps.
+//! the clamped value, split and traceback step are the ones at `s_v`. A
+//! switch actor of the distributed rendition (`soar-dataplane`) works out the
+//! same width from its children's `X` tables alone, because
+//! `min(k, 1 + Σ_c s_c) = min(k, 1 + Σ_c min(k, s_c))`, so its table is the
+//! arena's block bit for bit.
 //!
 //! ## Storage: one arena per gather pass
 //!
 //! [`GatherTables`] does **not** hold one heap object per switch. All per-switch
 //! tables live in five flat arenas (`X`, `Y_B`, `Y_R`, the ρ prefix sums, and the
 //! split decisions), with per-node offsets precomputed from the tree shape by
-//! [`GatherTables::reset`], each block sized `(D(v) + 2) · w_v`. Nodes are laid
+//! `GatherTables::reset`, each block sized `(D(v) + 2) · w_v`. Nodes are laid
 //! out **grouped by depth** (shallowest level first), which gives the gather
 //! pass two properties for free:
 //!
@@ -60,9 +61,8 @@
 //! [`SolverWorkspace`](crate::workspace::SolverWorkspace) that replays instances of
 //! the same shape performs **zero heap allocations** after its first pass.
 //!
-//! Individual tables are read through the borrowed [`NodeTableView`]; the owned
-//! [`NodeTable`] remains for the distributed dataplane, where each switch actor
-//! holds (only) its own table.
+//! Every table, the arena's blocks and a switch actor's own buffers alike, is
+//! read through the borrowed [`NodeTableView`].
 
 use soar_topology::{NodeId, Tree};
 
@@ -78,26 +78,6 @@ pub enum Color {
     Red,
 }
 
-/// Read access to one switch's DP table, implemented by both the owned
-/// [`NodeTable`] (dataplane actors) and the arena-backed [`NodeTableView`]
-/// (centralized gather), so SOAR-Color's decision helpers
-/// ([`crate::node_dp::decide_color`], [`crate::node_dp::child_budgets`]) work on
-/// either representation.
-pub trait DpTable {
-    /// Number of distinct `ℓ` values of this table.
-    fn n_l(&self) -> usize;
-    /// Number of stored `i` columns: `k + 1` for an owned [`NodeTable`],
-    /// `min(k, s_v) + 1` in the [`GatherTables`] arena (reads past the last
-    /// column return it; see the [module docs](self)).
-    fn n_i(&self) -> usize;
-    /// `X_v(ℓ, i)`.
-    fn x(&self, l: usize, i: usize) -> f64;
-    /// Final-stage `Y_v(ℓ, i, color)`.
-    fn y(&self, l: usize, i: usize, color: Color) -> f64;
-    /// The recorded split for child `c_m` (`m ≥ 2`).
-    fn split(&self, m: usize, l: usize, i: usize, color: Color) -> u32;
-}
-
 #[inline]
 fn color_slot(color: Color) -> usize {
     match color {
@@ -106,143 +86,8 @@ fn color_slot(color: Color) -> usize {
     }
 }
 
-/// The per-switch DP table as an owned value.
-///
-/// This is the representation a switch ships around in the *distributed* rendition
-/// of SOAR (`soar-dataplane`), where no shared arena exists. The centralized
-/// gather pass instead writes the same layout directly into the
-/// [`GatherTables`] arena and reads it back through [`NodeTableView`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct NodeTable {
-    /// Number of distinct `ℓ` values: `D(v) + 2` (i.e. `0 ..= dist_to_dest(v)`).
-    pub n_l: usize,
-    /// Number of distinct `i` values: `k + 1`.
-    pub n_i: usize,
-    /// `X_v(ℓ, i)`, row-major in `ℓ`.
-    pub x: Vec<f64>,
-    /// Final-stage `Y_v(ℓ, i, B)`.
-    pub y_blue: Vec<f64>,
-    /// Final-stage `Y_v(ℓ, i, R)`.
-    pub y_red: Vec<f64>,
-    /// `ρ(v, Aᵉ_v)` for `ℓ = 0 ..= D(v) + 1` (prefix sums of ρ up the tree).
-    pub path_rho: Vec<f64>,
-    /// Split decisions for children `c_2 ..= c_{C(v)}`, flat in `(m, ℓ, i, color)`
-    /// order: the block of child `c_m` starts at `(m - 2) · n_l · n_i · 2`.
-    pub splits: Vec<u32>,
-    n_split_children: usize,
-}
-
-impl NodeTable {
-    /// Creates an empty (all-zero / all-infinite) table for a node.
-    pub fn new(n_l: usize, n_i: usize, n_children: usize, path_rho: Vec<f64>) -> Self {
-        let cells = n_l * n_i;
-        let n_split_children = n_children.saturating_sub(1);
-        NodeTable {
-            n_l,
-            n_i,
-            x: vec![0.0; cells],
-            y_blue: vec![INF; cells],
-            y_red: vec![INF; cells],
-            path_rho,
-            splits: vec![0; n_split_children * cells * 2],
-            n_split_children,
-        }
-    }
-
-    #[inline]
-    fn idx(&self, l: usize, i: usize) -> usize {
-        debug_assert!(l < self.n_l, "l = {l} out of range {}", self.n_l);
-        debug_assert!(i < self.n_i, "i = {i} out of range {}", self.n_i);
-        l * self.n_i + i
-    }
-
-    /// `X_v(ℓ, i)`.
-    #[inline]
-    pub fn x(&self, l: usize, i: usize) -> f64 {
-        self.x[self.idx(l, i)]
-    }
-
-    /// Sets `X_v(ℓ, i)`.
-    #[inline]
-    pub fn set_x(&mut self, l: usize, i: usize, value: f64) {
-        let idx = self.idx(l, i);
-        self.x[idx] = value;
-    }
-
-    /// Final-stage `Y_v(ℓ, i, color)`.
-    #[inline]
-    pub fn y(&self, l: usize, i: usize, color: Color) -> f64 {
-        let idx = self.idx(l, i);
-        match color {
-            Color::Blue => self.y_blue[idx],
-            Color::Red => self.y_red[idx],
-        }
-    }
-
-    /// Sets the final-stage `Y_v(ℓ, i, color)`.
-    #[inline]
-    pub fn set_y(&mut self, l: usize, i: usize, color: Color, value: f64) {
-        let idx = self.idx(l, i);
-        match color {
-            Color::Blue => self.y_blue[idx] = value,
-            Color::Red => self.y_red[idx] = value,
-        }
-    }
-
-    /// The recorded split for child `c_m` (`m ≥ 2`), i.e. how many blue nodes the
-    /// optimal partition of `Y_v^m(ℓ, i, color)` grants to the subtree of `c_m`.
-    #[inline]
-    pub fn split(&self, m: usize, l: usize, i: usize, color: Color) -> u32 {
-        debug_assert!(m >= 2, "splits are only recorded for children m >= 2");
-        let base = (m - 2) * self.n_l * self.n_i * 2;
-        self.splits[base + self.idx(l, i) * 2 + color_slot(color)]
-    }
-
-    /// Records the split for child `c_m` (`m ≥ 2`).
-    #[inline]
-    pub fn set_split(&mut self, m: usize, l: usize, i: usize, color: Color, j: u32) {
-        debug_assert!(m >= 2);
-        let idx = (m - 2) * self.n_l * self.n_i * 2 + self.idx(l, i) * 2 + color_slot(color);
-        self.splits[idx] = j;
-    }
-
-    /// Number of children with recorded splits (`C(v) - 1` for internal nodes).
-    pub fn n_split_children(&self) -> usize {
-        self.n_split_children
-    }
-
-    /// `ρ(v, Aᵉ_v)` — the summed transmission time of the first `ℓ` up-links above `v`.
-    #[inline]
-    pub fn rho_up(&self, l: usize) -> f64 {
-        self.path_rho[l]
-    }
-
-    /// Approximate heap footprint of this table in bytes (used by diagnostics).
-    pub fn memory_bytes(&self) -> usize {
-        (self.x.len() + self.y_blue.len() + self.y_red.len() + self.path_rho.len()) * 8
-            + self.splits.len() * 4
-    }
-}
-
-impl DpTable for NodeTable {
-    fn n_l(&self) -> usize {
-        self.n_l
-    }
-    fn n_i(&self) -> usize {
-        self.n_i
-    }
-    fn x(&self, l: usize, i: usize) -> f64 {
-        NodeTable::x(self, l, i)
-    }
-    fn y(&self, l: usize, i: usize, color: Color) -> f64 {
-        NodeTable::y(self, l, i, color)
-    }
-    fn split(&self, m: usize, l: usize, i: usize, color: Color) -> u32 {
-        NodeTable::split(self, m, l, i, color)
-    }
-}
-
-/// A borrowed view of one switch's DP table inside the [`GatherTables`] arena.
+/// A borrowed view of one switch's DP table: a block of the [`GatherTables`]
+/// arena, or the buffers a switch actor owns.
 ///
 /// Reads at `i ≥ n_i` return column `n_i − 1`, the plateau every row reaches
 /// at `i = s_v` (see the [module docs](self)).
@@ -259,7 +104,47 @@ pub struct NodeTableView<'a> {
     splits: &'a [u32],
 }
 
-impl NodeTableView<'_> {
+impl<'a> NodeTableView<'a> {
+    /// Views one node's table with `n_i` columns and one row per entry of
+    /// `rho` (its ρ prefix sums): `x`, `y_blue` and `y_red` hold
+    /// `rho.len() · n_i` cells each, row-major in `ℓ`, and `splits` holds the
+    /// recorded splits of children `c_2 ..= c_C`, `2 · rho.len() · n_i` per
+    /// child, as [`fill_node`](crate::node_dp::fill_node) writes them.
+    #[inline]
+    pub fn new(
+        n_i: usize,
+        rho: &'a [f64],
+        x: &'a [f64],
+        y_blue: &'a [f64],
+        y_red: &'a [f64],
+        splits: &'a [u32],
+    ) -> Self {
+        let n_l = rho.len();
+        let cells = n_l * n_i;
+        assert!(
+            n_l >= 1
+                && n_i >= 1
+                && x.len() == cells
+                && y_blue.len() == cells
+                && y_red.len() == cells,
+            "a table of {n_l} rows and {n_i} columns needs {cells} cells per array"
+        );
+        debug_assert_eq!(
+            splits.len() % (2 * cells),
+            0,
+            "split blocks are 2 · cells long"
+        );
+        NodeTableView {
+            n_l,
+            n_i,
+            x,
+            y_blue,
+            y_red,
+            rho,
+            splits,
+        }
+    }
+
     #[inline]
     fn idx(&self, l: usize, i: usize) -> usize {
         debug_assert!(l < self.n_l, "l = {l} out of range {}", self.n_l);
@@ -307,27 +192,40 @@ impl NodeTableView<'_> {
 
     /// The full `X` table of this node as a flat row-major slice (what a child
     /// ships to its parent in the distributed rendition).
-    pub fn x_slice(&self) -> &[f64] {
+    pub fn x_slice(&self) -> &'a [f64] {
         self.x
+    }
+
+    /// The stored `Y_v(·, ·, B)`, flat and row-major in `ℓ`.
+    pub fn y_blue_slice(&self) -> &'a [f64] {
+        self.y_blue
+    }
+
+    /// The stored `Y_v(·, ·, R)`, flat and row-major in `ℓ`.
+    pub fn y_red_slice(&self) -> &'a [f64] {
+        self.y_red
+    }
+
+    /// The stored split decisions, flat in `(m, ℓ, i, color)` order.
+    pub fn splits_slice(&self) -> &'a [u32] {
+        self.splits
     }
 }
 
-impl DpTable for NodeTableView<'_> {
-    fn n_l(&self) -> usize {
-        self.n_l
+/// The optimum under "at most `k` blue nodes" from the root's `X(ℓ = 1, ·)`
+/// row: the smallest `i` whose value beats every smaller one by more than
+/// `1e-12`, with that value. A row narrower than `k + 1` columns ends on its
+/// plateau, so the columns it leaves out cannot improve on it.
+pub fn row_optimum(row: &[f64]) -> (usize, f64) {
+    let mut best_i = 0;
+    let mut best = row[0];
+    for (i, &value) in row.iter().enumerate().skip(1) {
+        if value < best - 1e-12 {
+            best = value;
+            best_i = i;
+        }
     }
-    fn n_i(&self) -> usize {
-        self.n_i
-    }
-    fn x(&self, l: usize, i: usize) -> f64 {
-        NodeTableView::x(self, l, i)
-    }
-    fn y(&self, l: usize, i: usize, color: Color) -> f64 {
-        NodeTableView::y(self, l, i, color)
-    }
-    fn split(&self, m: usize, l: usize, i: usize, color: Color) -> u32 {
-        NodeTableView::split(self, m, l, i, color)
-    }
+    (best_i, best)
 }
 
 /// All per-switch tables produced by one run of SOAR-Gather, stored in flat,
@@ -506,15 +404,14 @@ impl GatherTables {
         let n_i = self.n_i[v] as usize;
         let cells = n_l * n_i;
         let off = self.cell_off[v];
-        NodeTableView {
-            n_l,
+        NodeTableView::new(
             n_i,
-            x: &self.x[off..off + cells],
-            y_blue: &self.y_blue[off..off + cells],
-            y_red: &self.y_red[off..off + cells],
-            rho: &self.rho[self.rho_off[v]..self.rho_off[v] + n_l],
-            splits: &self.splits[self.split_off[v]..self.split_off[v] + self.split_len[v]],
-        }
+            &self.rho[self.rho_off[v]..self.rho_off[v] + n_l],
+            &self.x[off..off + cells],
+            &self.y_blue[off..off + cells],
+            &self.y_red[off..off + cells],
+            &self.splits[self.split_off[v]..self.split_off[v] + self.split_len[v]],
+        )
     }
 
     /// Shorthand for `X_v(ℓ, i)` (clamped to the node's last column).
@@ -537,17 +434,8 @@ impl GatherTables {
     /// The optimal utilization achievable with **at most** `k` blue nodes, together with
     /// the smallest number of blue nodes attaining it.
     pub fn optimum(&self) -> (usize, f64) {
-        let mut best_i = 0;
-        let mut best = self.optimum_with_exactly(0);
-        // Columns past the root's last one repeat it, so they cannot improve.
-        for i in 1..self.n_i[soar_topology::ROOT] as usize {
-            let value = self.optimum_with_exactly(i);
-            if value < best - 1e-12 {
-                best = value;
-                best_i = i;
-            }
-        }
-        (best_i, best)
+        let root = self.node(soar_topology::ROOT);
+        row_optimum(&root.x_slice()[root.n_i..2 * root.n_i])
     }
 
     /// Number of switches covered by the tables.
@@ -713,23 +601,6 @@ fn arena_bytes(cells: usize, rho_cells: usize, split_cells: usize) -> usize {
 mod tests {
     use super::*;
     use soar_topology::builders;
-
-    #[test]
-    fn node_table_indexing_round_trips() {
-        let mut t = NodeTable::new(4, 3, 2, vec![0.0, 1.0, 2.0, 3.0]);
-        t.set_x(2, 1, 7.5);
-        assert_eq!(t.x(2, 1), 7.5);
-        t.set_y(3, 2, Color::Blue, 1.25);
-        t.set_y(3, 2, Color::Red, 2.5);
-        assert_eq!(t.y(3, 2, Color::Blue), 1.25);
-        assert_eq!(t.y(3, 2, Color::Red), 2.5);
-        t.set_split(2, 1, 2, Color::Red, 9);
-        assert_eq!(t.split(2, 1, 2, Color::Red), 9);
-        assert_eq!(t.split(2, 1, 2, Color::Blue), 0);
-        assert_eq!(t.rho_up(2), 2.0);
-        assert!(t.memory_bytes() > 0);
-        assert_eq!(t.n_split_children(), 1);
-    }
 
     /// `Σ_v (D(v) + 2) · (min(k, s_v) + 1)`, from the tree alone.
     fn capped_cells(tree: &Tree, k: usize) -> usize {

@@ -56,7 +56,7 @@ const SHRINK_AFTER_PASSES: u32 = 16;
 const SHRINK_MIN_BYTES: usize = 1 << 20;
 /// Reserved footprints above this trip the *fast* shrink path: after only
 /// [`SHRINK_BIG_AFTER_PASSES`] oversized passes the arena is truncated to its
-/// live size instead of waiting out the full [`SHRINK_AFTER_PASSES`] streak.
+/// live size instead of waiting out the full `SHRINK_AFTER_PASSES` streak.
 /// A resident `soar serve` tenant mix must not pin a 1M-switch solve's
 /// multi-gigabyte arena for sixteen passes.
 pub const SHRINK_BIG_BYTES: usize = 64 << 20;
@@ -147,7 +147,7 @@ impl SolverWorkspace {
     /// shape; they cannot see shape drift or rate drift at clean nodes, which
     /// is exactly the contract above — clean nodes are trusted verbatim.
     /// `soar-online` upholds it by fixing the topology for a
-    /// [`DynamicInstance`]'s lifetime and marking the whole affected subtree
+    /// `DynamicInstance`'s lifetime and marking the whole affected subtree
     /// dirty on link-rate events.
     ///
     /// # Panics

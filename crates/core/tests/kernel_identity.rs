@@ -11,29 +11,16 @@
 //! availability — by comparing whole [`GatherTables`] for equality, which
 //! covers every `X` row, every `Y` row, and every recorded arg-min split.
 
+mod common;
+
+use common::{randomize, shapes};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use soar_core::node_dp::{child_budgets, decide_color, fill_node, DpScratch, NodeTableMut};
+use soar_core::node_dp::{color_step, fill_node, DpScratch, NodeTableMut};
 use soar_core::workspace::SolverWorkspace;
-use soar_core::{brute_force, Color, DpKernel, GatherTables, NodeTable};
+use soar_core::{brute_force, Color, DpKernel, GatherTables, NodeTableView};
 use soar_reduce::Coloring;
 use soar_topology::{builders, NodeId, Tree, ROOT};
-
-/// Randomizes the DP inputs: loads everywhere (internal nodes included),
-/// non-uniform rates, and a sprinkling of unavailable switches.
-fn randomize(tree: &mut Tree, rng: &mut StdRng) {
-    for v in 0..tree.n_switches() {
-        if rng.random_bool(0.7) {
-            tree.set_load(v, rng.random_range(0..100));
-        }
-        if rng.random_bool(0.3) {
-            tree.set_available(v, false);
-        }
-        if rng.random_bool(0.4) {
-            tree.set_rate(v, [0.25, 0.5, 1.0, 2.0, 4.0][rng.random_range(0..5usize)]);
-        }
-    }
-}
 
 fn gather_with(tree: &Tree, k: usize, kernel: DpKernel) -> GatherTables {
     let mut ws = SolverWorkspace::new();
@@ -42,16 +29,47 @@ fn gather_with(tree: &Tree, k: usize, kernel: DpKernel) -> GatherTables {
     ws.into_tables()
 }
 
-/// The uncapped reference: every switch's table as an owned [`NodeTable`]
-/// with uniform `k + 1` columns, filled bottom-up with `kernel` — the layout
-/// the arena used before widths were capped.
-fn uniform_tables(tree: &Tree, k: usize, kernel: DpKernel) -> Vec<NodeTable> {
-    let mut tables: Vec<Option<NodeTable>> = vec![None; tree.n_switches()];
+/// One switch's table at uniform `k + 1` columns, in owned buffers.
+struct UniformTable {
+    k: usize,
+    rho: Vec<f64>,
+    x: Vec<f64>,
+    y_blue: Vec<f64>,
+    y_red: Vec<f64>,
+    splits: Vec<u32>,
+}
+
+impl UniformTable {
+    fn view(&self) -> NodeTableView<'_> {
+        NodeTableView::new(
+            self.k + 1,
+            &self.rho,
+            &self.x,
+            &self.y_blue,
+            &self.y_red,
+            &self.splits,
+        )
+    }
+}
+
+/// The uncapped reference: every switch's table with uniform `k + 1`
+/// columns, filled bottom-up with `kernel` — the layout the arena used
+/// before widths were capped.
+fn uniform_tables(tree: &Tree, k: usize, kernel: DpKernel) -> Vec<UniformTable> {
+    let mut tables: Vec<Option<UniformTable>> = (0..tree.n_switches()).map(|_| None).collect();
     let mut scratch = DpScratch::new();
     for v in tree.post_order() {
         let children = tree.children(v);
         let rho = tree.path_rho(v);
-        let mut table = NodeTable::new(rho.len(), k + 1, children.len(), rho.clone());
+        let cells = rho.len() * (k + 1);
+        let mut table = UniformTable {
+            k,
+            x: vec![0.0; cells],
+            y_blue: vec![0.0; cells],
+            y_red: vec![0.0; cells],
+            splits: vec![0; children.len().saturating_sub(1) * cells * 2],
+            rho,
+        };
         fill_node(
             NodeTableMut {
                 x: &mut table.x,
@@ -59,7 +77,7 @@ fn uniform_tables(tree: &Tree, k: usize, kernel: DpKernel) -> Vec<NodeTable> {
                 y_red: &mut table.y_red,
                 splits: &mut table.splits,
             },
-            &rho,
+            &table.rho,
             tree.load(v),
             tree.available(v),
             k + 1,
@@ -78,11 +96,11 @@ fn uniform_tables(tree: &Tree, k: usize, kernel: DpKernel) -> Vec<NodeTable> {
 /// Asserts that every `X`, `Y` and split read of the capped arena, at every
 /// `i ≤ k`, is bitwise the uniform table's — which at `i > s_v` also pins the
 /// plateau the clamped reads rely on.
-fn assert_capped_matches_uniform(tree: &Tree, capped: &GatherTables, uniform: &[NodeTable]) {
+fn assert_capped_matches_uniform(tree: &Tree, capped: &GatherTables, uniform: &[UniformTable]) {
     let k = capped.k;
     for v in tree.node_ids() {
         let view = capped.node(v);
-        let full = &uniform[v];
+        let full = uniform[v].view();
         assert_eq!(view.n_i, tree.subtree_size(v).min(k) + 1, "node {v} width");
         for l in 0..full.n_l {
             for i in 0..=k {
@@ -104,56 +122,27 @@ fn assert_capped_matches_uniform(tree: &Tree, capped: &GatherTables, uniform: &[
     }
 }
 
-/// SOAR-Color over the uniform owned tables, with the same rules as
-/// `soar_core::color` — the uncapped traceback the capped one must reproduce.
-fn trace_uniform(tree: &Tree, tables: &[NodeTable], i: usize) -> Coloring {
+/// SOAR-Color over the uniform tables, with the solver's own step — the
+/// uncapped traceback the capped one must reproduce.
+fn trace_uniform(tree: &Tree, tables: &[UniformTable], i: usize) -> Coloring {
     let mut coloring = Coloring::all_red(tree.n_switches());
     let mut stack: Vec<(NodeId, usize, usize)> = vec![(ROOT, i, 1)];
     while let Some((v, budget, l)) = stack.pop() {
-        let table = &tables[v];
-        if tree.is_leaf(v) {
-            if budget > 0
-                && tree.available(v)
-                && table.y(l, budget, Color::Blue) <= table.y(l, budget, Color::Red)
-            {
-                coloring.set_blue(v);
-            }
-            continue;
-        }
-        let color = decide_color(table, l, budget);
-        if color == Color::Blue {
-            coloring.set_blue(v);
-        }
-        let child_l = if color == Color::Blue { 1 } else { l + 1 };
         let children = tree.children(v);
-        for (&c, share) in
-            children
-                .iter()
-                .zip(child_budgets(table, children.len(), l, budget, color))
+        let push = |idx: usize, share, child_l| stack.push((children[idx], share, child_l));
+        if color_step(
+            tables[v].view(),
+            children.len(),
+            tree.available(v),
+            l,
+            budget,
+            push,
+        ) == Color::Blue
         {
-            stack.push((c, share, child_l));
+            coloring.set_blue(v);
         }
     }
     coloring
-}
-
-/// The shapes under test, randomized.
-fn shapes(rng: &mut StdRng) -> Vec<(String, Tree)> {
-    let mut shapes: Vec<(String, Tree)> = vec![
-        ("path-17".into(), builders::path(17)),
-        ("star-33".into(), builders::star(33)),
-        ("caterpillar".into(), builders::caterpillar(9, 4)),
-        ("bt-255".into(), builders::complete_binary_tree(255)),
-        ("kary4-341".into(), builders::complete_kary_tree(4, 341)),
-        ("fat-tree".into(), builders::two_tier_fat_tree(4, 6)),
-    ];
-    for (i, n) in [37usize, 120, 450].into_iter().enumerate() {
-        shapes.push((format!("random-{i}"), builders::random_tree(n, rng)));
-    }
-    for (_, tree) in &mut shapes {
-        randomize(tree, rng);
-    }
-    shapes
 }
 
 #[test]
@@ -207,10 +196,11 @@ fn capped_solves_match_the_uniform_path_and_brute_force() {
             let solution = ws.solve(&tree, k);
             assert_capped_matches_uniform(&tree, ws.tables(), &uniform);
             // The uncapped optimum: the first strict minimum of X_r(1, i), i ≤ k.
-            let mut best = (0, uniform[ROOT].x(1, 0));
+            let root = uniform[ROOT].view();
+            let mut best = (0, root.x(1, 0));
             for i in 1..=k {
-                if uniform[ROOT].x(1, i) < best.1 - 1e-12 {
-                    best = (i, uniform[ROOT].x(1, i));
+                if root.x(1, i) < best.1 - 1e-12 {
+                    best = (i, root.x(1, i));
                 }
             }
             let at = format!("round {round}, n = {n}, k = {k}");

@@ -10,21 +10,24 @@
 //! Protocol phases (all pipelined, no global barriers):
 //!
 //! 1. **Gather** — leaves compute their DP table and push their `X` table upward;
-//!    an internal switch folds its children's tables via
-//!    [`soar_core::node_dp::compute_node_table`] once the last one arrives, then pushes
-//!    its own `X` upward. The root pushes to the destination.
+//!    an internal switch folds its children's tables with
+//!    [`soar_core::node_dp::fill_node`] once the last one arrives, then pushes
+//!    its own `X` upward. The root pushes to the destination. Each table has the
+//!    arena's `min(k, s_v) + 1` columns, worked out from the children's widths
+//!    `w_c` as `min(k, 1 + Σ_c (w_c − 1)) + 1`, so it is bit-identical to
+//!    `soar_gather(tree, k).node(v)`.
 //! 2. **Color** — the destination sends `Assign(k*, 1)` to the root. A switch receiving
-//!    `Assign(i, ℓ*)` decides its own color from its stored table, forwards the
-//!    appropriate `Assign` to every child (using the recorded split decisions), and
-//!    immediately joins the Reduce.
+//!    `Assign(i, ℓ*)` runs [`soar_core::node_dp::color_step`] on its stored table,
+//!    forwards the `Assign` it yields to every child, and immediately joins the
+//!    Reduce.
 //! 3. **Reduce** — worker reports flow upward as `Data` frames; red switches
 //!    store-and-forward, blue switches merge everything from their subtree (and their
 //!    local workers) into a single `Data` frame; `Eos` markers propagate termination.
 
 use crate::wire::Frame;
 use bytes::Bytes;
-use soar_core::node_dp::{child_budgets, compute_node_table, decide_color};
-use soar_core::tables::{Color, NodeTable};
+use soar_core::node_dp::{color_step, fill_node, DpKernel, DpScratch, NodeTableMut};
+use soar_core::tables::{Color, NodeTableView};
 use soar_topology::{NodeId, Tree};
 
 /// Where an emitted frame should be delivered.
@@ -79,18 +82,28 @@ pub struct SwitchActor {
     // Gather state.
     child_x: Vec<Option<Vec<f64>>>,
     gather_remaining: usize,
-    table: Option<NodeTable>,
+    table: Option<OwnedTable>,
 
     // Color state.
     color: Option<Color>,
 
     // Reduce state.
     eos_remaining: usize,
-    reduce_active: bool,
     agg_value: u64,
     agg_contributors: u64,
 
     stats: ActorStats,
+}
+
+/// A switch's own DP table: `n_i` columns per row, filled by
+/// [`fill_node`] and read through a [`NodeTableView`].
+#[derive(Debug)]
+struct OwnedTable {
+    n_i: usize,
+    x: Vec<f64>,
+    y_blue: Vec<f64>,
+    y_red: Vec<f64>,
+    splits: Vec<u32>,
 }
 
 impl SwitchActor {
@@ -109,7 +122,6 @@ impl SwitchActor {
             k,
             table: None,
             color: None,
-            reduce_active: false,
             agg_value: 0,
             agg_contributors: 0,
             stats: ActorStats::default(),
@@ -119,11 +131,6 @@ impl SwitchActor {
     /// This switch's id.
     pub fn id(&self) -> NodeId {
         self.id
-    }
-
-    /// The color this switch settled on (available once the Assign frame was processed).
-    pub fn color(&self) -> Option<Color> {
-        self.color
     }
 
     /// Whether this switch ended up as an aggregation switch.
@@ -136,9 +143,17 @@ impl SwitchActor {
         self.stats
     }
 
+    /// Whether this switch has sent its end-of-stream marker upward, its last
+    /// frame of the run: it is colored and every child has sent its own.
+    pub fn done(&self) -> bool {
+        self.color.is_some() && self.eos_remaining == 0
+    }
+
     /// The gathered DP table (available once all children reported).
-    pub fn table(&self) -> Option<&NodeTable> {
-        self.table.as_ref()
+    pub fn table(&self) -> Option<NodeTableView<'_>> {
+        self.table.as_ref().map(|t| {
+            NodeTableView::new(t.n_i, &self.path_rho, &t.x, &t.y_blue, &t.y_red, &t.splits)
+        })
     }
 
     /// Kicks off the gather phase; leaves emit their `X` table immediately, internal
@@ -173,23 +188,8 @@ impl SwitchActor {
                 contributors,
             } => {
                 debug_assert!(from_child.is_some(), "Data frames come from children");
-                debug_assert!(self.reduce_active, "coloring always precedes child data");
-                match self.color {
-                    Some(Color::Blue) => {
-                        self.agg_value += value;
-                        self.agg_contributors += contributors;
-                    }
-                    _ => {
-                        // Red: store-and-forward.
-                        self.send_up(
-                            Frame::Data {
-                                value,
-                                contributors,
-                            },
-                            out,
-                        );
-                    }
-                }
+                debug_assert!(self.color.is_some(), "coloring always precedes child data");
+                self.reduce(value, contributors, out);
             }
             Frame::Eos { .. } => {
                 debug_assert!(from_child.is_some(), "Eos frames come from children");
@@ -204,94 +204,98 @@ impl SwitchActor {
     /// Computes this switch's DP table from the children's `X` tables and reports the
     /// own `X` table upward.
     fn finish_gather(&mut self, out: &mut Vec<OutFrame>) {
-        let children_x: Vec<Vec<f64>> = self
-            .child_x
-            .iter()
-            .map(|x| x.clone().expect("all children reported"))
-            .collect();
-        let table = compute_node_table(
+        let n_l = self.path_rho.len();
+        let children_x = || {
+            self.child_x
+                .iter()
+                .map(|x| x.as_deref().expect("all children reported"))
+        };
+        // s_v = 1 + Σ_c s_c, and a child's width w_c = min(k, s_c) + 1 is all
+        // that capping at k needs of s_c.
+        let below: usize = children_x()
+            .map(|x| (x.len() / (n_l + 1)).saturating_sub(1))
+            .sum();
+        let n_i = self.k.min(1 + below) + 1;
+        let cells = n_l * n_i;
+        let mut table = OwnedTable {
+            n_i,
+            x: vec![0.0; cells],
+            y_blue: vec![0.0; cells],
+            y_red: vec![0.0; cells],
+            splits: vec![0; self.children.len().saturating_sub(1) * cells * 2],
+        };
+        fill_node(
+            NodeTableMut {
+                x: &mut table.x,
+                y_blue: &mut table.y_blue,
+                y_red: &mut table.y_red,
+                splits: &mut table.splits,
+            },
             &self.path_rho,
             self.load,
             self.available,
-            self.k,
-            &children_x,
+            n_i,
+            self.children.len(),
+            children_x(),
+            &mut DpScratch::new(),
+            DpKernel::Pruned,
         );
         let frame = Frame::XTable {
             child: self.id as u32,
-            n_l: table.n_l as u32,
-            n_i: table.n_i as u32,
+            n_l: n_l as u32,
+            n_i: n_i as u32,
             values: table.x.clone(),
         };
         self.table = Some(table);
         // The raw child tables are no longer needed.
-        for slot in &mut self.child_x {
-            *slot = None;
-        }
+        self.child_x.fill(None);
         self.send_up(frame, out);
     }
 
     /// Processes the coloring assignment and immediately joins the Reduce.
     fn handle_assign(&mut self, budget: usize, distance: usize, out: &mut Vec<OutFrame>) {
         let table = self
-            .table
-            .as_ref()
+            .table()
             .expect("the gather phase completes before coloring starts");
-        let color = if self.children.is_empty() {
-            // Leaf rule of Alg. 4 (with the zero-load guard): aggregate when budgeted,
-            // available, and not more expensive than forwarding.
-            if budget > 0
-                && self.available
-                && table.y(distance, budget, Color::Blue) <= table.y(distance, budget, Color::Red)
-            {
-                Color::Blue
-            } else {
-                Color::Red
-            }
-        } else {
-            decide_color(table, distance, budget)
-        };
-        self.color = Some(color);
-
-        // Forward the assignment to the children.
-        if !self.children.is_empty() {
-            let budgets = child_budgets(table, self.children.len(), distance, budget, color);
-            let child_distance = match color {
-                Color::Blue => 1,
-                Color::Red => distance + 1,
-            };
-            for (idx, &child_budget) in budgets.iter().enumerate() {
+        // Decide the color and forward one assignment to each child.
+        let color = color_step(
+            table,
+            self.children.len(),
+            self.available,
+            distance,
+            budget,
+            |idx, share, child_distance| {
                 let frame = Frame::Assign {
-                    budget: child_budget as u32,
+                    budget: share as u32,
                     distance: child_distance as u32,
                 };
                 out.push((Destination::Child(idx), frame.encode()));
-            }
-        }
+            },
+        );
+        self.color = Some(color);
 
         // Join the Reduce: contribute the local workers, and flush immediately if there
         // is nothing to wait for (leaves).
-        self.reduce_active = true;
-        match color {
-            Color::Blue => {
-                for w in 0..self.load {
-                    self.agg_value += worker_value(self.id, w);
-                    self.agg_contributors += 1;
-                }
-            }
-            Color::Red => {
-                for w in 0..self.load {
-                    self.send_up(
-                        Frame::Data {
-                            value: worker_value(self.id, w),
-                            contributors: 1,
-                        },
-                        out,
-                    );
-                }
-            }
+        for w in 0..self.load {
+            self.reduce(worker_value(self.id, w), 1, out);
         }
         if self.eos_remaining == 0 {
             self.finish_reduce(out);
+        }
+    }
+
+    /// Takes one Reduce message: a blue switch folds it into its aggregate, a red
+    /// one stores and forwards it.
+    fn reduce(&mut self, value: u64, contributors: u64, out: &mut Vec<OutFrame>) {
+        if self.is_blue() {
+            self.agg_value += value;
+            self.agg_contributors += contributors;
+        } else {
+            let frame = Frame::Data {
+                value,
+                contributors,
+            };
+            self.send_up(frame, out);
         }
     }
 

@@ -11,9 +11,10 @@
 //!
 //! * [`wire`] — a compact length-checked frame codec (built on [`bytes`]) for the three
 //!   message families (gather tables, coloring assignments, reduce data / end-of-stream);
-//! * [`actor`] — the per-switch state machine, which reuses the exact same per-node
-//!   dynamic program as the centralized solver
-//!   ([`soar_core::node_dp::compute_node_table`]), guaranteeing the two agree;
+//! * [`actor`] — the per-switch state machine, which runs the centralized solver's
+//!   per-node steps ([`soar_core::node_dp::fill_node`] and
+//!   [`soar_core::node_dp::color_step`]) on tables of the solver's widths, so every
+//!   switch's table is bit-identical to the solver's (the `actor_tables` test);
 //! * [`runtime`] — two executors: a deterministic single-threaded one
 //!   ([`runtime::run_inline`]) and a thread-per-switch one over std::sync::mpsc channels
 //!   ([`runtime::run_threaded`]).
@@ -47,10 +48,7 @@ pub mod wire;
 
 pub use actor::{ActorStats, SwitchActor};
 pub use framing::{append_frame, read_frame, write_frame, FramingError, MAX_FRAME_LEN};
-pub use runtime::{
-    run_inline, run_inline_instance, run_threaded, run_threaded_instance, DataplaneReport,
-    DistributedSoarSolver,
-};
+pub use runtime::{run_inline, run_threaded, DataplaneReport, DistributedSoarSolver};
 pub use wire::{Frame, WireError};
 
 #[cfg(test)]
@@ -79,6 +77,7 @@ mod tests {
             report.claimed_cost,
             centralized.cost
         );
+        assert_eq!(report.coloring, centralized.coloring);
         let achieved = cost::phi(tree, &report.coloring);
         assert!(
             (achieved - centralized.cost).abs() < 1e-9,
@@ -169,10 +168,24 @@ mod tests {
 
     #[test]
     fn wire_bytes_grow_with_budget() {
-        // Larger budgets mean wider DP tables on the wire.
+        // Larger budgets mean wider DP tables on the wire. They also mean fewer
+        // Reduce messages, so count the bytes outside the 17-byte Data frames:
+        // per switch, one XTable (a 21-byte header and 8 bytes per cell of the
+        // solver's table) and one 5-byte Eos.
         let tree = fig2_tree();
-        let small = run_inline(&tree, 1);
-        let large = run_inline(&tree, 6);
-        assert!(large.total_wire_bytes > small.total_wire_bytes);
+        let control_bytes = |k: usize| {
+            let report = run_inline(&tree, k);
+            report.total_wire_bytes - 17 * report.per_edge_data_messages.iter().sum::<u64>()
+        };
+        let (small, large) = (control_bytes(1), control_bytes(6));
+        assert!(large > small);
+        for (k, bytes) in [(1, small), (6, large)] {
+            let cells = soar_core::soar_gather(&tree, k).table_cells();
+            assert_eq!(
+                bytes,
+                (26 * tree.n_switches() + 8 * cells) as u64,
+                "k = {k}"
+            );
+        }
     }
 }

@@ -7,14 +7,14 @@
 //! suites cross-check against the centralized solver (`soar-core`) and the closed-form
 //! cost model (`soar-reduce`).
 
-use crate::actor::{ActorStats, Destination, SwitchActor};
+use crate::actor::{ActorStats, Destination, OutFrame, SwitchActor};
 use crate::wire::Frame;
 use bytes::Bytes;
+use soar_core::tables::row_optimum;
 use soar_reduce::Coloring;
 use soar_topology::{NodeId, Tree, ROOT};
 use std::collections::VecDeque;
-use std::sync::mpsc::{channel as unbounded, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{channel as unbounded, Sender};
 
 /// The outcome of one end-to-end dataplane run.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,12 +38,10 @@ pub struct DataplaneReport {
     pub total_wire_bytes: u64,
 }
 
-/// Payload of a per-switch channel: the sending switch (`None` when the frame
-/// arrives from the parent / destination side) and the encoded frame.
-type LinkPayload = (Option<NodeId>, Bytes);
-
-/// Per-switch results collected by the threaded executor: color + stats.
-type SharedActorResults = Arc<Mutex<Vec<Option<(bool, ActorStats)>>>>;
+/// A frame in flight to a switch: the index of the sending child in the
+/// receiver's child list (`None` when it comes from the parent or the
+/// destination) and the encoded frame.
+type LinkPayload = (Option<usize>, Bytes);
 
 /// Resolves the child index of `from` within `to`'s child list.
 fn child_index(tree: &Tree, to: NodeId, from: NodeId) -> usize {
@@ -53,31 +51,74 @@ fn child_index(tree: &Tree, to: NodeId, from: NodeId) -> usize {
         .expect("sender must be a child of the receiver")
 }
 
-/// Picks the best budget `i ≤ k` from the root's `X(ℓ = 1, ·)` row (smallest `i` wins
-/// ties), returning `(i, cost)`.
-fn best_budget(root_x: &[f64], k: usize) -> (usize, f64) {
-    let row = |i: usize| root_x[(k + 1) + i]; // ℓ = 1 row of a (n_l × (k+1)) table
-    let mut best_i = 0;
-    let mut best = row(0);
-    for i in 1..=k {
-        if row(i) < best - 1e-12 {
-            best = row(i);
-            best_i = i;
+/// The destination server: it picks the budget from the root's `X` table and
+/// counts what the Reduce delivers.
+#[derive(Default)]
+struct Sink {
+    claimed_cost: f64,
+    sum: u64,
+    contributors: u64,
+    data_messages: u64,
+    done: bool,
+}
+
+impl Sink {
+    /// Handles one frame from the root. The root's `X` table yields the
+    /// `Assign` frame that starts the coloring phase: the best budget on its
+    /// `ℓ = 1` row, by the centralized solver's rule.
+    fn on_frame(&mut self, frame: Frame) -> Option<Bytes> {
+        match frame {
+            Frame::XTable { n_i, values, .. } => {
+                let n_i = n_i as usize;
+                let (best_i, cost) = row_optimum(&values[n_i..2 * n_i]);
+                self.claimed_cost = cost;
+                let assign = Frame::Assign {
+                    budget: best_i as u32,
+                    distance: 1,
+                };
+                return Some(assign.encode());
+            }
+            Frame::Data {
+                value,
+                contributors,
+            } => {
+                self.sum += value;
+                self.contributors += contributors;
+                self.data_messages += 1;
+            }
+            Frame::Eos { .. } => self.done = true,
+            Frame::Assign { .. } => unreachable!("the destination never receives Assign"),
+        }
+        None
+    }
+
+    fn report(
+        self,
+        tree: &Tree,
+        per_actor: impl Iterator<Item = (bool, ActorStats)>,
+    ) -> DataplaneReport {
+        assert!(self.done, "the Reduce must terminate");
+        let mut coloring = Coloring::all_red(tree.n_switches());
+        let mut per_edge_data_messages = vec![0u64; tree.n_switches()];
+        let mut total_wire_bytes = 0u64;
+        for (v, (blue, stats)) in per_actor.enumerate() {
+            if blue {
+                coloring.set_blue(v);
+            }
+            per_edge_data_messages[v] = stats.data_messages_sent;
+            total_wire_bytes += stats.wire_bytes_sent;
+        }
+        DataplaneReport {
+            blue_used: coloring.n_blue(),
+            coloring,
+            claimed_cost: self.claimed_cost,
+            per_edge_data_messages,
+            destination_sum: self.sum,
+            destination_contributors: self.contributors,
+            destination_data_messages: self.data_messages,
+            total_wire_bytes,
         }
     }
-    (best_i, best)
-}
-
-/// Runs the whole protocol on a φ-BIC [`Instance`](soar_core::api::Instance) with
-/// the deterministic single-threaded executor.
-pub fn run_inline_instance(instance: &soar_core::api::Instance) -> DataplaneReport {
-    run_inline(instance.tree(), instance.budget())
-}
-
-/// Runs the whole protocol on a φ-BIC [`Instance`](soar_core::api::Instance) with
-/// one OS thread per switch.
-pub fn run_threaded_instance(instance: &soar_core::api::Instance) -> DataplaneReport {
-    run_threaded(instance.tree(), instance.budget())
 }
 
 /// The distributed protocol as a [`Solver`](soar_core::api::Solver): solving an
@@ -98,7 +139,7 @@ impl soar_core::api::Solver for DistributedSoarSolver {
 
     fn solve(&self, instance: &soar_core::api::Instance) -> soar_core::api::SolveReport {
         let start = std::time::Instant::now();
-        let report = run_inline_instance(instance);
+        let report = run_inline(instance.tree(), instance.budget());
         let wall_time = start.elapsed();
         let solution =
             soar_core::Solution::from_coloring(instance.tree(), report.coloring, instance.budget());
@@ -111,19 +152,18 @@ pub fn run_inline(tree: &Tree, k: usize) -> DataplaneReport {
     let n = tree.n_switches();
     let mut actors: Vec<SwitchActor> = (0..n).map(|v| SwitchActor::new(tree, v, k)).collect();
 
-    // (receiver, sender, encoded frame); receiver None means the destination server.
-    let mut queue: VecDeque<(Option<NodeId>, NodeId, Bytes)> = VecDeque::new();
-    let route = |from: NodeId,
-                 out: Vec<(Destination, Bytes)>,
-                 queue: &mut VecDeque<(Option<NodeId>, NodeId, Bytes)>| {
+    // (receiver, payload); receiver None means the destination server.
+    let mut queue: VecDeque<(Option<NodeId>, LinkPayload)> = VecDeque::new();
+    let route = |from: NodeId, out: Vec<OutFrame>, queue: &mut VecDeque<_>| {
         for (dest, bytes) in out {
-            match dest {
-                Destination::Up => queue.push_back((tree.parent(from), from, bytes)),
-                Destination::Child(idx) => {
-                    let child = tree.children(from)[idx];
-                    queue.push_back((Some(child), from, bytes));
+            queue.push_back(match dest {
+                Destination::Up => {
+                    let parent = tree.parent(from);
+                    let idx = parent.map(|p| child_index(tree, p, from));
+                    (parent, (idx, bytes))
                 }
-            }
+                Destination::Child(idx) => (Some(tree.children(from)[idx]), (None, bytes)),
+            });
         }
     };
 
@@ -134,105 +174,23 @@ pub fn run_inline(tree: &Tree, k: usize) -> DataplaneReport {
         route(v, out, &mut queue);
     }
 
-    // Destination-side state.
-    let mut claimed_cost = f64::INFINITY;
-    let mut destination_sum = 0u64;
-    let mut destination_contributors = 0u64;
-    let mut destination_data_messages = 0u64;
-    let mut reduce_done = false;
-
-    while let Some((to, from, bytes)) = queue.pop_front() {
+    let mut sink = Sink::default();
+    while let Some((to, (from_child, bytes))) = queue.pop_front() {
         let frame = Frame::decode(bytes).expect("frames produced by actors always decode");
         match to {
             Some(v) => {
-                // Frames from the parent (or, for the root, from the destination — which
-                // uses ROOT as its placeholder sender id) carry no child index.
-                let from_parent = match tree.parent(v) {
-                    Some(p) => from == p,
-                    None => from == ROOT,
-                };
-                let from_child = if from_parent {
-                    None
-                } else {
-                    Some(child_index(tree, v, from))
-                };
                 let mut out = Vec::new();
                 actors[v].on_frame(from_child, frame, &mut out);
                 route(v, out, &mut queue);
             }
             None => {
-                // The destination server.
-                match frame {
-                    Frame::XTable { n_i, values, .. } => {
-                        let (best_i, cost) = best_budget(&values, (n_i - 1) as usize);
-                        claimed_cost = cost;
-                        // Start the coloring phase.
-                        queue.push_back((
-                            Some(ROOT),
-                            ROOT, // sender id is irrelevant for parent-origin frames
-                            Frame::Assign {
-                                budget: best_i as u32,
-                                distance: 1,
-                            }
-                            .encode(),
-                        ));
-                    }
-                    Frame::Data {
-                        value,
-                        contributors,
-                    } => {
-                        destination_sum += value;
-                        destination_contributors += contributors;
-                        destination_data_messages += 1;
-                    }
-                    Frame::Eos { .. } => {
-                        reduce_done = true;
-                    }
-                    Frame::Assign { .. } => unreachable!("the destination never receives Assign"),
+                if let Some(assign) = sink.on_frame(frame) {
+                    queue.push_back((Some(ROOT), (None, assign)));
                 }
             }
         }
     }
-    assert!(reduce_done, "the Reduce must terminate");
-
-    finalize_report(
-        tree,
-        actors.iter().map(|a| (a.is_blue(), a.stats())).collect(),
-        claimed_cost,
-        destination_sum,
-        destination_contributors,
-        destination_data_messages,
-    )
-}
-
-fn finalize_report(
-    tree: &Tree,
-    per_actor: Vec<(bool, ActorStats)>,
-    claimed_cost: f64,
-    destination_sum: u64,
-    destination_contributors: u64,
-    destination_data_messages: u64,
-) -> DataplaneReport {
-    let mut coloring = Coloring::all_red(tree.n_switches());
-    let mut per_edge_data_messages = vec![0u64; tree.n_switches()];
-    let mut total_wire_bytes = 0u64;
-    for (v, (blue, stats)) in per_actor.into_iter().enumerate() {
-        if blue {
-            coloring.set_blue(v);
-        }
-        per_edge_data_messages[v] = stats.data_messages_sent;
-        total_wire_bytes += stats.wire_bytes_sent;
-    }
-    DataplaneReport {
-        blue_used: coloring.n_blue(),
-        coloring,
-        claimed_cost,
-        per_edge_data_messages,
-        destination_sum,
-        destination_contributors,
-        destination_data_messages,
-        total_wire_bytes,
-    }
+    sink.report(tree, actors.iter().map(|a| (a.is_blue(), a.stats())))
 }
 
 /// Runs the whole protocol with one OS thread per switch, connected by std::sync::mpsc
@@ -243,139 +201,62 @@ fn finalize_report(
 /// arbitrary sizes deterministically.
 pub fn run_threaded(tree: &Tree, k: usize) -> DataplaneReport {
     let n = tree.n_switches();
-    // Channel per switch; payload is (from, encoded frame) where `from` is None for
-    // frames arriving from the parent / destination side.
-    let mut senders: Vec<Sender<LinkPayload>> = Vec::with_capacity(n);
-    let mut receivers: Vec<Receiver<LinkPayload>> = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (tx, rx) = unbounded();
-        senders.push(tx);
-        receivers.push(rx);
-    }
-    let (dest_tx, dest_rx) = unbounded::<(NodeId, Bytes)>();
+    let (senders, receivers): (Vec<Sender<LinkPayload>>, Vec<_>) =
+        (0..n).map(|_| unbounded()).unzip();
+    let (dest_tx, dest_rx) = unbounded::<LinkPayload>();
 
-    let results: SharedActorResults = Arc::new(Mutex::new(vec![None; n]));
-
-    let (claimed_cost, destination_sum, destination_contributors, destination_data_messages) =
-        std::thread::scope(|scope| {
-            for (v, rx) in receivers.into_iter().enumerate() {
-                let parent = tree.parent(v);
-                let parent_tx = parent.map(|p| senders[p].clone());
-                let child_txs: Vec<Sender<LinkPayload>> = tree
-                    .children(v)
-                    .iter()
-                    .map(|&c| senders[c].clone())
-                    .collect();
-                let dest_tx = dest_tx.clone();
-                let results = Arc::clone(&results);
-                let mut actor = SwitchActor::new(tree, v, k);
-                let n_children = tree.children(v).len();
-                scope.spawn(move || {
-                    let route = |out: Vec<(Destination, Bytes)>, sent_eos_up: &mut bool| {
-                        for (dest, bytes) in out {
-                            let is_eos =
-                                matches!(Frame::decode(bytes.clone()), Ok(Frame::Eos { .. }));
-                            match dest {
-                                Destination::Up => {
-                                    if is_eos {
-                                        *sent_eos_up = true;
-                                    }
-                                    match &parent_tx {
-                                        Some(tx) => {
-                                            let _ = tx.send((Some(v), bytes));
-                                        }
-                                        None => {
-                                            let _ = dest_tx.send((v, bytes));
-                                        }
-                                    }
-                                }
-                                Destination::Child(idx) => {
-                                    let _ = child_txs[idx].send((None, bytes));
-                                }
-                            }
-                        }
-                    };
-
-                    let mut sent_eos_up = false;
-                    let mut out = Vec::new();
-                    actor.start(&mut out);
-                    route(out, &mut sent_eos_up);
-
-                    // A switch is done once it has propagated its end-of-stream marker.
-                    while !sent_eos_up {
-                        let (from, bytes) = rx.recv().expect("peers keep their channels open");
-                        let frame = Frame::decode(bytes).expect("frames always decode");
-                        let from_child = from.map(|f| {
-                            tree.children(v)
-                                .iter()
-                                .position(|&c| c == f)
-                                .expect("sender is one of our children")
-                        });
-                        debug_assert!(from_child.map(|i| i < n_children).unwrap_or(true));
-                        let mut out = Vec::new();
-                        actor.on_frame(from_child, frame, &mut out);
-                        route(out, &mut sent_eos_up);
-                    }
-                    results
-                        .lock()
-                        .expect("no thread panicked while holding the lock")[v] =
-                        Some((actor.is_blue(), actor.stats()));
-                });
-            }
-
-            // The destination side runs on the spawning thread.
-            let mut claimed_cost = f64::INFINITY;
-            let mut destination_sum = 0u64;
-            let mut destination_contributors = 0u64;
-            let mut destination_data_messages = 0u64;
-            loop {
-                let (_from, bytes) = dest_rx.recv().expect("the root keeps its channel open");
-                match Frame::decode(bytes).expect("frames always decode") {
-                    Frame::XTable { n_i, values, .. } => {
-                        let (best_i, cost) = best_budget(&values, (n_i - 1) as usize);
-                        claimed_cost = cost;
-                        let assign = Frame::Assign {
-                            budget: best_i as u32,
-                            distance: 1,
+    let (sink, per_actor) = std::thread::scope(|scope| {
+        let mut switches = Vec::with_capacity(n);
+        for (v, rx) in receivers.into_iter().enumerate() {
+            // The root's parent link leads to the destination.
+            let (up, idx) = match tree.parent(v) {
+                Some(p) => (senders[p].clone(), Some(child_index(tree, p, v))),
+                None => (dest_tx.clone(), None),
+            };
+            let child_txs: Vec<Sender<LinkPayload>> = tree
+                .children(v)
+                .iter()
+                .map(|&c| senders[c].clone())
+                .collect();
+            let mut actor = SwitchActor::new(tree, v, k);
+            switches.push(scope.spawn(move || {
+                let route = |out: Vec<OutFrame>| {
+                    for (dest, bytes) in out {
+                        let _ = match dest {
+                            Destination::Up => up.send((idx, bytes)),
+                            Destination::Child(c) => child_txs[c].send((None, bytes)),
                         };
-                        let _ = senders[ROOT].send((None, assign.encode()));
                     }
-                    Frame::Data {
-                        value,
-                        contributors,
-                    } => {
-                        destination_sum += value;
-                        destination_contributors += contributors;
-                        destination_data_messages += 1;
-                    }
-                    Frame::Eos { .. } => break,
-                    Frame::Assign { .. } => unreachable!("the destination never receives Assign"),
+                };
+                let mut out = Vec::new();
+                actor.start(&mut out);
+                route(out);
+                // A switch is done once it has propagated its end-of-stream marker.
+                while !actor.done() {
+                    let (from_child, bytes) = rx.recv().expect("peers keep their channels open");
+                    let frame = Frame::decode(bytes).expect("frames always decode");
+                    let mut out = Vec::new();
+                    actor.on_frame(from_child, frame, &mut out);
+                    route(out);
                 }
+                (actor.is_blue(), actor.stats())
+            }));
+        }
+
+        // The destination side runs on the spawning thread.
+        let mut sink = Sink::default();
+        while !sink.done {
+            let (_, bytes) = dest_rx.recv().expect("the root keeps its channel open");
+            let frame = Frame::decode(bytes).expect("frames always decode");
+            if let Some(assign) = sink.on_frame(frame) {
+                let _ = senders[ROOT].send((None, assign));
             }
-
-            // Returning ends the scope, which joins every switch thread.
-            (
-                claimed_cost,
-                destination_sum,
-                destination_contributors,
-                destination_data_messages,
-            )
-        });
-
-    // All threads have joined (end of scope); collect their stats.
-    let per_actor: Vec<(bool, ActorStats)> = results
-        .lock()
-        .expect("no thread panicked while holding the lock")
-        .iter()
-        .map(|entry| entry.expect("every switch thread reported its stats"))
-        .collect();
-
-    finalize_report(
-        tree,
-        per_actor,
-        claimed_cost,
-        destination_sum,
-        destination_contributors,
-        destination_data_messages,
-    )
+        }
+        let per_actor: Vec<(bool, ActorStats)> = switches
+            .into_iter()
+            .map(|s| s.join().expect("switch threads do not panic"))
+            .collect();
+        (sink, per_actor)
+    });
+    sink.report(tree, per_actor.into_iter())
 }

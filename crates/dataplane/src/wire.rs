@@ -27,7 +27,8 @@ pub enum Frame {
         child: u32,
         /// Number of `ℓ` rows in the table.
         n_l: u32,
-        /// Number of `i` columns (budget + 1).
+        /// Number of `i` columns: `min(k, s) + 1` for a sender whose subtree
+        /// holds `s` switches.
         n_i: u32,
         /// Row-major values `X(ℓ, i)`.
         values: Vec<f64>,
@@ -62,6 +63,8 @@ pub enum WireError {
     UnknownKind(u8),
     /// A declared length is implausible (guards against corrupted frames).
     BadLength(u64),
+    /// Bytes follow the end of a complete frame.
+    TrailingBytes(usize),
 }
 
 impl fmt::Display for WireError {
@@ -70,6 +73,7 @@ impl fmt::Display for WireError {
             WireError::Truncated => write!(f, "frame truncated"),
             WireError::UnknownKind(k) => write!(f, "unknown frame kind {k}"),
             WireError::BadLength(l) => write!(f, "implausible length field {l}"),
+            WireError::TrailingBytes(n) => write!(f, "{n} bytes after the end of the frame"),
         }
     }
 }
@@ -136,13 +140,15 @@ impl Frame {
         }
     }
 
-    /// Decodes a frame from a byte buffer produced by [`Frame::encode`].
+    /// Decodes a frame from a byte buffer produced by [`Frame::encode`]. The
+    /// buffer must hold exactly one frame, so whatever decodes re-encodes to
+    /// the same bytes.
     pub fn decode(mut buf: Bytes) -> Result<Frame, WireError> {
         if buf.remaining() < 1 {
             return Err(WireError::Truncated);
         }
         let kind = buf.get_u8();
-        match kind {
+        let frame = match kind {
             KIND_X_TABLE => {
                 if buf.remaining() < 4 + 4 + 4 + 8 {
                     return Err(WireError::Truncated);
@@ -158,40 +164,44 @@ impl Frame {
                     return Err(WireError::Truncated);
                 }
                 let values = (0..len).map(|_| buf.get_f64()).collect();
-                Ok(Frame::XTable {
+                Frame::XTable {
                     child,
                     n_l,
                     n_i,
                     values,
-                })
+                }
             }
             KIND_ASSIGN => {
                 if buf.remaining() < 8 {
                     return Err(WireError::Truncated);
                 }
-                Ok(Frame::Assign {
+                Frame::Assign {
                     budget: buf.get_u32(),
                     distance: buf.get_u32(),
-                })
+                }
             }
             KIND_DATA => {
                 if buf.remaining() < 16 {
                     return Err(WireError::Truncated);
                 }
-                Ok(Frame::Data {
+                Frame::Data {
                     value: buf.get_u64(),
                     contributors: buf.get_u64(),
-                })
+                }
             }
             KIND_EOS => {
                 if buf.remaining() < 4 {
                     return Err(WireError::Truncated);
                 }
-                Ok(Frame::Eos {
+                Frame::Eos {
                     child: buf.get_u32(),
-                })
+                }
             }
-            other => Err(WireError::UnknownKind(other)),
+            other => return Err(WireError::UnknownKind(other)),
+        };
+        match buf.remaining() {
+            0 => Ok(frame),
+            extra => Err(WireError::TrailingBytes(extra)),
         }
     }
 }
@@ -200,9 +210,9 @@ impl Frame {
 mod tests {
     use super::*;
 
-    #[test]
-    fn round_trip_all_frame_kinds() {
-        let frames = vec![
+    /// One frame of every kind.
+    fn sample_frames() -> Vec<Frame> {
+        vec![
             Frame::XTable {
                 child: 7,
                 n_l: 2,
@@ -218,8 +228,12 @@ mod tests {
                 contributors: 7,
             },
             Frame::Eos { child: 3 },
-        ];
-        for frame in frames {
+        ]
+    }
+
+    #[test]
+    fn round_trip_all_frame_kinds() {
+        for frame in sample_frames() {
             let encoded = frame.encode();
             assert_eq!(encoded.len(), frame.encoded_len());
             let decoded = Frame::decode(encoded).unwrap();
@@ -243,16 +257,16 @@ mod tests {
 
     #[test]
     fn truncated_frames_are_rejected() {
-        let frame = Frame::XTable {
-            child: 1,
-            n_l: 2,
-            n_i: 2,
-            values: vec![1.0, 2.0, 3.0, 4.0],
-        };
-        let encoded = frame.encode();
-        for cut in [0usize, 1, 5, encoded.len() - 1] {
-            let partial = encoded.slice(0..cut);
-            assert!(Frame::decode(partial).is_err(), "cut at {cut} must fail");
+        for frame in sample_frames() {
+            let encoded = frame.encode();
+            for cut in 0..encoded.len() {
+                let partial = encoded.slice(0..cut);
+                assert_eq!(
+                    Frame::decode(partial),
+                    Err(WireError::Truncated),
+                    "{frame:?} cut at {cut}"
+                );
+            }
         }
     }
 
@@ -285,5 +299,22 @@ mod tests {
         assert!(WireError::Truncated.to_string().contains("truncated"));
         assert!(WireError::UnknownKind(9).to_string().contains('9'));
         assert!(WireError::BadLength(3).to_string().contains('3'));
+        assert!(WireError::TrailingBytes(4).to_string().contains('4'));
+    }
+
+    #[test]
+    fn trailing_bytes_are_rejected_for_every_frame_kind() {
+        for frame in sample_frames() {
+            for extra in [1usize, 8] {
+                let mut buf = BytesMut::new();
+                buf.put_slice(&frame.encode());
+                buf.put_slice(&vec![0u8; extra]);
+                assert_eq!(
+                    Frame::decode(buf.freeze()),
+                    Err(WireError::TrailingBytes(extra)),
+                    "{frame:?} followed by {extra} bytes"
+                );
+            }
+        }
     }
 }

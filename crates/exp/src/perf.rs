@@ -3,7 +3,7 @@
 //!
 //! One instrumented measurement per tree size: wall time of a fresh
 //! (allocate-every-time) SOAR-Gather versus a warm
-//! [`SolverWorkspace`](soar_core::workspace::SolverWorkspace) replay, plus the
+//! [`SolverWorkspace`] replay, plus the
 //! workspace's allocation count and peak arena footprint. The measurements are
 //! persisted as a regular [`RunArtifact`](crate::artifact::RunArtifact) (kind
 //! [`GatherMicrobench`](crate::spec::ExperimentKind::GatherMicrobench)), so the

@@ -10,7 +10,7 @@
 //! to what the workspace needs:
 //!
 //! * [`span!`] — RAII phase spans recorded into **per-thread lock-free ring
-//!   buffers** ([`span`]). Tracing is off by default; the disabled cost of a
+//!   buffers** ([`mod@span`]). Tracing is off by default; the disabled cost of a
 //!   `span!` site is a **single relaxed atomic load**. Enable with
 //!   [`set_tracing`], snapshot with [`span::snapshot`], export with
 //!   [`trace::chrome_trace_json`].

@@ -20,7 +20,7 @@
 //!   changes, and the failure-domain events below) and tracks the **dirty
 //!   subtree closure** with reusable buffers;
 //! * [`IncrementalSolver`] — wraps a
-//!   [`SolverWorkspace`](soar_core::workspace::SolverWorkspace) and re-solves
+//!   [`SolverWorkspace`] and re-solves
 //!   an epoch by refilling only the dirty nodes
 //!   ([`SolverWorkspace::gather_update`](soar_core::workspace::SolverWorkspace::gather_update)),
 //!   then streams SOAR-Color through the workspace's reusable coloring — a

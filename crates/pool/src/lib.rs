@@ -462,7 +462,7 @@ fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// The process-wide pool, created on first use with [`default_threads`] workers.
+/// The process-wide pool, created on first use with `default_threads` workers.
 pub fn global() -> &'static ThreadPool {
     static GLOBAL: OnceLock<ThreadPool> = OnceLock::new();
     GLOBAL.get_or_init(ThreadPool::with_default_parallelism)

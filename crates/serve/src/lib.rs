@@ -20,7 +20,7 @@
 //!   [`soar_dataplane::framing`];
 //! * [`server`] — the daemon: per-connection readers, a bounded global queue,
 //!   and a dispatcher batching same-epoch requests across tenants onto
-//!   [`soar_pool`]; plus the blocking [`Client`](server::Client);
+//!   [`soar_pool`]; plus the blocking [`Client`];
 //! * [`metrics`] — lock-free counters and latency histograms, snapshotted
 //!   into the JSON that `soar-loadtest` turns into a `BENCH_serve.json`
 //!   artifact for `soar history check`;

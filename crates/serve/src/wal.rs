@@ -4,7 +4,7 @@
 //! # Why replay is exact
 //!
 //! The server is deterministic given its inputs: a tenant is built from
-//! `(switches, budget, seed)` ([`build_tenant`](crate::server::build_tenant))
+//! `(switches, budget, seed)` ([`build_tenant`])
 //! and mutated only by churn batches, applied in WAL order with
 //! apply-until-first-error semantics. The WAL records exactly those inputs —
 //! **before** they touch the instance — so replaying the surviving prefix
