@@ -6,6 +6,20 @@
 //! `Y_v(ℓ*, i, B)` and `Y_v(ℓ*, i, R)` recorded during the gather phase, and (ii) tells
 //! each child how many blue nodes to place in its subtree (replaying the recorded
 //! `mSplit` decisions) and at what distance from the nearest barrier it now sits.
+//!
+//! ## Only switches that hold budget are traced
+//!
+//! A switch handed a budget of 0 places no blue node, so its whole subtree stays
+//! red: at `i = 0` every table holds `Y_B(ℓ, 0) = ∞` (a leaf's blue row starts at
+//! `∞`, the first child stage sets its blue column 0 to `∞`, and later stages never
+//! go blue at `i = 0`), so the leaf rule (`budget > 0`) and the internal rule
+//! (`Y_B < Y_R`) both pick red, and the only red split of 0 is `j = 0` — by
+//! induction nothing below turns blue. The trace therefore starts from an all-red
+//! coloring and visits a child only when its share is positive. At every depth the
+//! visited switches root disjoint subtrees whose shares sum to at most `i`, so a
+//! trace of `i` blue nodes runs at most `1 + i·h(T)` color steps instead of `n`
+//! (31 of 4,095 on `BT(4096)` at `k = 16`), and its work list never holds more
+//! than `max(1, i)` entries.
 
 use crate::node_dp::color_step;
 use crate::tables::{Color, GatherTables};
@@ -28,18 +42,25 @@ pub fn soar_color_exact(tree: &Tree, tables: &GatherTables, i: usize) -> Colorin
 /// coloring is reset to all-red in place and the work list reuses `stack`'s
 /// storage, so a warm caller performs **zero heap allocations** per trace.
 ///
-/// Returns the number of buffers that had to grow (0 once warm) — the same
-/// convention as the gather allocation counters, which is how the solver
-/// workspace folds color-phase allocations into
-/// [`DpStats::alloc_events`](crate::api::DpStats::alloc_events). This is the
-/// streaming path behind sweep-heavy callers and `soar-online`'s epoch loop.
+/// Only switches handed a positive share are visited (see the [module
+/// docs](self)): a trace of `i` blue nodes runs at most `1 + i·h(T)` color
+/// steps. The work list is reserved up front for `max(1, min(k, n))`
+/// entries, its bound for any `i ≤ k`, so it never grows mid-trace and a warm
+/// workspace stays allocation-free whichever budget it traces next.
+///
+/// Returns `(alloc_events, nodes_traced)`: the number of buffers that had to
+/// grow (0 once warm) — the same convention as the gather allocation
+/// counters, which is how the solver workspace folds color-phase allocations
+/// into [`DpStats::alloc_events`](crate::api::DpStats::alloc_events) — and the
+/// number of color steps the trace ran. This is the streaming path behind
+/// every traced solve: sweeps, `soar serve` and `soar-online`'s epoch loop.
 pub fn soar_color_exact_into(
     tree: &Tree,
     tables: &GatherTables,
     i: usize,
     coloring: &mut Coloring,
     stack: &mut Vec<(NodeId, usize, usize)>,
-) -> usize {
+) -> (usize, usize) {
     assert!(
         i <= tables.k,
         "requested {i} blue nodes but the tables were computed for k = {}",
@@ -47,23 +68,34 @@ pub fn soar_color_exact_into(
     );
     let mut grew = coloring.reset_all_red(tree.n_switches());
     // Work list of (node, blue nodes to place in its subtree, distance to barrier).
+    let bound = tables.k.min(tree.n_switches()).max(1);
     stack.clear();
-    if stack.capacity() == 0 {
+    if stack.capacity() < bound {
+        stack.reserve(bound);
         grew += 1;
     }
-    stack.push((ROOT, i, 1));
     let stack_capacity = stack.capacity();
+    stack.push((ROOT, i, 1));
+    let mut traced = 0;
     while let Some((v, budget, l)) = stack.pop() {
+        traced += 1;
         // `tables.node(v)` borrows the arena, so a step allocates nothing; each
-        // child goes onto the work list, c_C first.
+        // child that holds budget goes onto the work list, c_C first. A child
+        // handed 0 stays red with its whole subtree, as the reset left it.
         let children = tree.children(v);
-        let push = |idx: usize, share, child_l| stack.push((children[idx], share, child_l));
+        let push = |idx: usize, share, child_l| {
+            if share > 0 {
+                stack.push((children[idx], share, child_l));
+            }
+        };
         let table = tables.node(v);
         if color_step(table, children.len(), tree.available(v), l, budget, push) == Color::Blue {
             coloring.set_blue(v);
         }
     }
-    grew + usize::from(stack.capacity() != stack_capacity)
+    // Never counts while the bound above holds; a wrong bound shows up here.
+    grew += usize::from(stack.capacity() != stack_capacity);
+    (grew, traced)
 }
 
 /// Runs SOAR-Color for the best budget `i ≤ k` (the "at most k" semantics of the φ-BIC
@@ -146,12 +178,17 @@ mod tests {
         let tables = soar_gather(&tree, 4);
         let mut coloring = Coloring::all_red(0);
         let mut stack = Vec::new();
-        let cold = soar_color_exact_into(&tree, &tables, 2, &mut coloring, &mut stack);
+        // Budget 0 traces the root alone, yet still reserves the work list
+        // for every later budget.
+        let (cold, traced) = soar_color_exact_into(&tree, &tables, 0, &mut coloring, &mut stack);
         assert!(cold > 0, "the first trace must allocate its buffers");
-        assert_eq!(coloring, soar_color_exact(&tree, &tables, 2));
-        for i in [0usize, 1, 3, 4, 2] {
-            let grew = soar_color_exact_into(&tree, &tables, i, &mut coloring, &mut stack);
+        assert_eq!(traced, 1);
+        assert_eq!(coloring, soar_color_exact(&tree, &tables, 0));
+        for i in [4usize, 1, 3, 2] {
+            let (grew, traced) =
+                soar_color_exact_into(&tree, &tables, i, &mut coloring, &mut stack);
             assert_eq!(grew, 0, "warm traces are allocation-free (i = {i})");
+            assert!(traced <= 1 + i * tree.height(), "i = {i}: {traced} steps");
             assert_eq!(coloring, soar_color_exact(&tree, &tables, i));
         }
     }

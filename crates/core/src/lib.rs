@@ -53,7 +53,8 @@
 //! * [`gather`] — SOAR-Gather (Algorithm 3), the bottom-up dynamic program over the
 //!   parameterized potential function, exposing its tables for inspection;
 //! * [`color`] — SOAR-Color (Algorithm 4), the top-down traceback that extracts an
-//!   optimal set of blue switches from those tables;
+//!   optimal set of blue switches from those tables, visiting only the switches
+//!   handed a positive share of the budget (at most `1 + i·h(T)` of them);
 //! * [`workspace`] — the reusable [`SolverWorkspace`] (DP arena + scratch) behind
 //!   the allocation-free hot path, with per-thread instances used by the API
 //!   layer;
@@ -129,7 +130,8 @@
 //! and SOAR-Color streams through the workspace's reusable coloring
 //! ([`workspace::SolverWorkspace::trace_best`]). The `soar-online` crate
 //! builds its epoch loop on exactly these two entry points;
-//! [`api::DpStats::cells_written`] reports the per-pass work.
+//! [`api::DpStats::cells_written`] reports the per-pass gather work and
+//! [`workspace::SolverWorkspace::last_nodes_traced`] the traceback's.
 //!
 //! [`Instance`]: api::Instance
 //! [`Solver`]: api::Solver

@@ -90,6 +90,8 @@ pub struct SolverWorkspace {
     kernel: DpKernel,
     /// Split candidates skipped by the most recent gather's pruning.
     last_pruned_splits: usize,
+    /// Color steps the most recent trace ran (switches that held budget).
+    last_nodes_traced: usize,
 }
 
 impl SolverWorkspace {
@@ -253,7 +255,10 @@ impl SolverWorkspace {
     /// tracing into this workspace's reusable coloring (readable via
     /// [`Self::coloring`] until the next trace). Returns `(cost, best_i)`.
     /// Allocation-free once warm; buffer growths are folded into
-    /// [`Self::last_alloc_events`].
+    /// [`Self::last_alloc_events`]. Only switches handed a positive share of
+    /// `best_i` are visited — at most `1 + best_i·h(T)` of them, counted by
+    /// [`Self::last_nodes_traced`]; a switch handed 0 stays red with its
+    /// whole subtree (see [`crate::color`]).
     pub fn trace_best(&mut self, tree: &Tree) -> (f64, usize) {
         let (best_i, best_cost) = self.tables.optimum();
         self.trace_exact(tree, best_i);
@@ -265,7 +270,7 @@ impl SolverWorkspace {
     /// `X_r(1, i)`.
     pub fn trace_exact(&mut self, tree: &Tree, i: usize) -> f64 {
         let _trace = soar_obs::span!("traceback", i);
-        let events = soar_color_exact_into(
+        let (events, traced) = soar_color_exact_into(
             tree,
             &self.tables,
             i,
@@ -274,6 +279,8 @@ impl SolverWorkspace {
         );
         self.last_alloc_events += events;
         self.total_alloc_events += events;
+        self.last_nodes_traced = traced;
+        soar_obs::counter!("soar_traceback_nodes_total").add(traced as u64);
         self.tables.optimum_with_exactly(i)
     }
 
@@ -311,6 +318,14 @@ impl SolverWorkspace {
     /// [`DpStats::cells_written`](crate::api::DpStats::cells_written).
     pub fn last_cells_written(&self) -> usize {
         self.last_cells_written
+    }
+
+    /// Color steps the most recent [`Self::trace_best`] / [`Self::trace_exact`]
+    /// ran: the switches that were handed a positive share of the budget, plus
+    /// the root — at most `1 + i·h(T)`, and 0 before the first trace. The
+    /// process-wide sum is the `soar_traceback_nodes_total` counter.
+    pub fn last_nodes_traced(&self) -> usize {
+        self.last_nodes_traced
     }
 
     /// High-water heap footprint of the workspace (arena + scratch), in bytes.
@@ -609,6 +624,51 @@ mod tests {
         assert_eq!(cost, 20.0);
         assert_eq!(ws.coloring().n_blue(), 2);
         assert_eq!(ws.last_alloc_events(), 0);
+    }
+
+    #[test]
+    fn traces_visit_only_the_switches_that_hold_budget() {
+        // BT(4096) at k = 16: a trace of i blue nodes runs at most 1 + i·h
+        // color steps, far fewer than the 4,095 switches, and any budget
+        // traces allocation-free once the work list is reserved.
+        let mut tree = builders::complete_binary_tree_bt(4096);
+        for (j, v) in tree.leaves().collect::<Vec<_>>().into_iter().enumerate() {
+            tree.set_load(v, (j * 37 % 11 + 1) as u64);
+        }
+        let (n, h) = (tree.n_switches(), tree.height());
+        let mut ws = SolverWorkspace::new();
+        let _ = ws.solve(&tree, 16);
+        let before = soar_obs::counter!("soar_traceback_nodes_total").get();
+        let _ = ws.solve(&tree, 16);
+        assert_eq!(ws.last_alloc_events(), 0, "warm solve allocates");
+        let traced = ws.last_nodes_traced();
+        assert!(traced <= 1 + 16 * h && traced < n, "traced {traced} of {n}");
+        assert!(
+            soar_obs::counter!("soar_traceback_nodes_total").get() >= before + traced as u64,
+            "the registry counter sums every trace"
+        );
+        for i in (0..=16).rev() {
+            let _ = ws.trace_exact(&tree, i);
+            assert!(ws.last_nodes_traced() <= 1 + i * h, "i = {i}");
+            assert_eq!(ws.last_alloc_events(), 0, "warm trace allocates (i = {i})");
+        }
+        let _ = ws.trace_exact(&tree, 0);
+        assert_eq!(ws.last_nodes_traced(), 1, "budget 0 traces the root alone");
+    }
+
+    #[test]
+    fn a_zero_load_leaf_handed_one_blue_node_stays_red() {
+        // Root 0 with leaves 1 (no load, c_1) and 2 (load 5, c_C). Exactly two
+        // blue nodes: leaf 2 takes one, and c_1 is handed the remaining one
+        // but stays red, because aggregating nothing still costs a message.
+        // A positive share is therefore no promise of a blue node.
+        let mut tree = builders::star(3);
+        tree.set_load(2, 5);
+        let mut ws = SolverWorkspace::new();
+        let _ = ws.gather(&tree, 2);
+        let _ = ws.trace_exact(&tree, 2);
+        assert_eq!(ws.coloring().blue_nodes(), vec![2]);
+        assert_eq!(ws.last_nodes_traced(), 3, "leaf 1 held budget");
     }
 
     #[test]

@@ -123,7 +123,10 @@ fn assert_capped_matches_uniform(tree: &Tree, capped: &GatherTables, uniform: &[
 }
 
 /// SOAR-Color over the uniform tables, with the solver's own step — the
-/// uncapped traceback the capped one must reproduce.
+/// uncapped traceback the capped one must reproduce. It is a full walk: every
+/// switch runs a color step, zero shares included, so it also checks that the
+/// solver's trace, which visits only the switches handed a positive share,
+/// loses no blue node.
 fn trace_uniform(tree: &Tree, tables: &[UniformTable], i: usize) -> Coloring {
     let mut coloring = Coloring::all_red(tree.n_switches());
     let mut stack: Vec<(NodeId, usize, usize)> = vec![(ROOT, i, 1)];
@@ -143,6 +146,43 @@ fn trace_uniform(tree: &Tree, tables: &[UniformTable], i: usize) -> Coloring {
         }
     }
     coloring
+}
+
+/// Asserts that, at every exact budget `i ≤ k` of the workspace's tables, the
+/// solver's trace equals the full walk over the uniform tables and runs at
+/// most `1 + i·h(T)` color steps.
+fn assert_traces_match_the_full_walk(
+    tree: &Tree,
+    ws: &mut SolverWorkspace,
+    uniform: &[UniformTable],
+    at: &str,
+) {
+    for i in 0..=ws.tables().k {
+        let _ = ws.trace_exact(tree, i);
+        let full = trace_uniform(tree, uniform, i);
+        assert_eq!(*ws.coloring(), full, "exact-{i} coloring at {at}");
+        assert!(
+            ws.last_nodes_traced() <= 1 + i * tree.height(),
+            "exact-{i} trace ran {} steps at {at}",
+            ws.last_nodes_traced()
+        );
+    }
+}
+
+#[test]
+fn traces_match_the_full_walk_at_every_budget_on_every_shape() {
+    // Every shape, with unavailable switches and zero-load nodes (a zero-load
+    // leaf handed one blue node may still end red), traced at every i ≤ k.
+    let mut rng = StdRng::seed_from_u64(0x7ACE);
+    for (name, tree) in shapes(&mut rng) {
+        for k in [3usize, 16] {
+            let uniform = uniform_tables(&tree, k, DpKernel::Scalar);
+            let mut ws = SolverWorkspace::new();
+            let _ = ws.gather(&tree, k);
+            let at = format!("{name}, k = {k}");
+            assert_traces_match_the_full_walk(&tree, &mut ws, &uniform, &at);
+        }
+    }
 }
 
 #[test]
@@ -211,13 +251,7 @@ fn capped_solves_match_the_uniform_path_and_brute_force() {
                 trace_uniform(&tree, &uniform, best.0),
                 "coloring at {at}"
             );
-            for i in [0, k / 2, k] {
-                assert_eq!(
-                    soar_core::soar_color_exact(&tree, ws.tables(), i),
-                    trace_uniform(&tree, &uniform, i),
-                    "exact-{i} coloring at {at}"
-                );
-            }
+            assert_traces_match_the_full_walk(&tree, &mut ws, &uniform, &at);
             if n <= 14 {
                 let oracle = brute_force(&tree, k);
                 assert!(

@@ -102,9 +102,13 @@ impl PromWriter {
 }
 
 /// Renders every metric of the global registry (pool, solver and any other
-/// `counter!`/`gauge!` sites), grouped by family in registration order.
+/// `counter!`/`gauge!` sites), grouped by family in registration order, then
+/// `soar_trace_events_dropped_total`: the span events lost to ring
+/// overwrites ([`span::dropped_total`](crate::span::dropped_total)).
 pub fn render_registry() -> String {
     let mut w = PromWriter::new();
+    // Read before the registry lock, so the two global locks never nest.
+    let dropped = crate::span::dropped_total();
     let reg = REGISTRY.lock().expect("metric registry poisoned");
     // Group samples of one family together: headers may be emitted only once
     // per name, and labeled siblings register as separate entries.
@@ -122,6 +126,12 @@ pub fn render_registry() -> String {
             }
         }
     }
+    w.counter(
+        "soar_trace_events_dropped_total",
+        "span events overwritten in the per-thread trace rings",
+        "",
+        dropped,
+    );
     w.finish()
 }
 
@@ -164,6 +174,7 @@ mod tests {
         crate::registry::counter("soar_prom_render_test_total").add(11);
         let text = render_registry();
         assert!(text.contains("soar_prom_render_test_total 11"));
+        assert!(text.contains("# TYPE soar_trace_events_dropped_total counter"));
         // Well-formed: every non-comment line is `name[{labels}] value`.
         for line in text.lines() {
             if line.starts_with('#') || line.is_empty() {

@@ -218,6 +218,24 @@ pub fn snapshot() -> Vec<ThreadEvents> {
         .collect()
 }
 
+/// Events overwritten so far, summed over every registered ring: each ring's
+/// `head − RING_CAP`, saturating. Reads only the ring heads, never the slots,
+/// so a metrics scrape can call it cheaply. Rings are never unregistered and
+/// heads only grow, so the total never decreases — it is exported on
+/// `/metrics` as the counter `soar_trace_events_dropped_total`.
+pub fn dropped_total() -> u64 {
+    let threads = THREADS.lock().expect("span thread list poisoned");
+    threads
+        .iter()
+        .map(|t| {
+            t.ring
+                .head
+                .load(Ordering::Acquire)
+                .saturating_sub(RING_CAP as u64)
+        })
+        .sum()
+}
+
 /// The tracing master switch. Spans are recorded only while this is `true`;
 /// the disabled fast path of `span!` is a single relaxed load of this flag.
 pub(crate) static TRACING: AtomicBool = AtomicBool::new(false);
@@ -301,5 +319,24 @@ mod tests {
         assert_eq!(events.len(), RING_CAP);
         assert_eq!(events.first().unwrap().ts_ns, total - RING_CAP as u64);
         assert_eq!(events.last().unwrap().ts_ns, total - 1);
+    }
+
+    #[test]
+    fn dropped_total_counts_overwrites_across_registered_rings() {
+        static SITE: Site = Site::new("test_dropped_total");
+        let before = dropped_total();
+        // A fresh thread registers its own ring; RING_CAP / 2 + 5 spans write
+        // RING_CAP + 10 events, so exactly 10 are overwritten there. Other
+        // tests' rings only add to the total.
+        std::thread::spawn(|| {
+            for i in 0..RING_CAP as u64 / 2 + 5 {
+                drop(SpanGuard::enter(&SITE, i));
+            }
+        })
+        .join()
+        .unwrap();
+        let after = dropped_total();
+        assert!(after >= before + 10, "{before} -> {after}");
+        assert!(dropped_total() >= after, "the total never decreases");
     }
 }
