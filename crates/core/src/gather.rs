@@ -25,10 +25,14 @@
 //! without a single heap allocation. Every node runs the same exact `mCost`
 //! kernel, [`DpKernel::Pruned`]; tests swap in the scalar oracle.
 //!
-//! The complexity is `O(n · h(T) · k²)` time as in Theorem 4.1. Node `v`'s table
-//! is only `min(k, s_v) + 1` columns wide (see the [`tables`](crate::tables)
-//! module docs), so the deep levels of a tree, where subtrees hold fewer than
-//! `k` switches, cost far less than that bound.
+//! The complexity is `O(n · h(T) · k²)` time as in Theorem 4.1, and that
+//! bound now comes from the red half of the split search alone: it scans one
+//! `mCost` row per `(child, ℓ)`. The blue half folds once per child stage,
+//! not once per `ℓ` row (see the [`node_dp`](crate::node_dp) module docs), so
+//! it is `O(n · k²)`. Node `v`'s table is only `min(k, s_v) + 1` columns wide
+//! (see the [`tables`](crate::tables) module docs), so the deep levels of a
+//! tree, where subtrees hold fewer than `k` switches, cost far less than
+//! either bound.
 
 use crate::node_dp::{fill_node, DpKernel, DpScratch, NodeTableMut};
 use crate::tables::GatherTables;

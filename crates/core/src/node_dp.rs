@@ -16,16 +16,35 @@
 //! SOAR-Color is per-switch too: [`color_step`] is its one rule, run by the
 //! centralized traceback and by the actors alike.
 //!
+//! ## The blue fold runs once per child stage
+//!
+//! A blue switch is the barrier of its children, so the blue half of the
+//! prefix recursion reads only each child's distance-1 row, and it depends on
+//! `ℓ` only through the `ρ(ℓ)` that `v`'s own aggregated message pays:
+//!
+//! ```text
+//! Z^1(0) = ∞,  Z^1(i) = X_{c_1}(1, i − 1)
+//! Z^m(i) = min_{0 ≤ j < i} Z^{m−1}(i − j) + X_{c_m}(1, j)
+//! Y_B(ℓ, i) = Z^{C(v)}(i) + ρ(ℓ)
+//! ```
+//!
+//! (`Z` is all `∞` at an unavailable switch.) [`fill_node`] therefore folds
+//! `Z` once per child stage, one arg-min per `i`, and writes that stage's blue
+//! split into every `ℓ` row of the split block; only the red half of the
+//! recursion is folded per row. The recursion adds `ρ(ℓ)` last, after the
+//! arg-min scans, where the paper's `Y_B^m(ℓ, i)` carries it from the first
+//! child on. The two orders are equal in exact arithmetic, and bit for bit
+//! whenever the sums are exact (dyadic rates with integer loads); otherwise
+//! they agree to rounding (`tests/kernel_identity.rs` checks both).
+//!
 //! ## Hot-path shape
 //!
 //! The actual DP lives in [`fill_node`], which writes into caller-provided slices
 //! ([`NodeTableMut`]) and reads children's `X` tables as borrowed slices — in the
 //! centralized gather those are arena stripes, so **no per-node heap allocation**
-//! happens at all once the [`DpScratch`] ping-pong buffers are warm. The `mCost`
-//! inner loops are written against per-row subslices: the row bounds checks are
-//! paid once per `(child, ℓ)` instead of once per `(child, ℓ, i, j)` lookup, and
-//! the child's distance-1 row (the only row the blue recursion ever reads) is
-//! hoisted out of the `ℓ` loop entirely.
+//! happens at all once the [`DpScratch`] buffers are warm. The `mCost` inner
+//! loops are written against per-row subslices: the row bounds checks are paid
+//! once per `(child, ℓ)` instead of once per `(child, ℓ, i, j)` lookup.
 
 use crate::tables::{Color, NodeTableView, INF};
 
@@ -47,7 +66,7 @@ use crate::tables::{Color, NodeTableView, INF};
 ///   candidate. For leaf-heavy trees the effective width collapses to ≤ 1 and
 ///   the quadratic split search becomes linear.
 /// * [`Scalar`](DpKernel::Scalar) — the straight-line reference double loop,
-///   kept verbatim as the oracle the tests compare against.
+///   in the same summation order, kept as the oracle the tests compare against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DpKernel {
     /// Scalar order + exact effective-width cap + early exit.
@@ -57,26 +76,28 @@ pub enum DpKernel {
     Scalar,
 }
 
-/// Reusable ping-pong buffers for the per-child prefix recursion (`Y^m`).
+/// Reusable buffers for the per-child prefix recursion: the red stages
+/// `Y_R^m` (one cell per `(ℓ, i)`), the blue stages `Z^m` and the current
+/// stage's blue splits (one entry per `i`).
 ///
 /// One scratch serves any number of consecutive [`fill_node`] calls; buffers only
 /// grow (doubling), so a warm scratch performs no allocation. The buffers are
-/// never cleared between nodes or children: every cell is overwritten before it is
-/// read (the old INF refill between children was dead work — both buffers are
-/// fully rewritten for every `(ℓ, i)` cell on the next child fold).
+/// never cleared between nodes or children: every entry is overwritten before it
+/// is read.
 ///
-/// The scratch also counts the split candidates the pruning skipped
-/// ([`take_pruned_splits`](DpScratch::take_pruned_splits)), which
-/// [`DpStats`](crate::api::DpStats) reports per pass.
+/// The scratch also counts the split candidates the kernel evaluated
+/// ([`take_split_evals`](DpScratch::take_split_evals)) and those the pruning
+/// skipped ([`take_pruned_splits`](DpScratch::take_pruned_splits)); the two
+/// add up to the full candidate count of the unpruned search.
 #[derive(Debug, Default)]
 pub struct DpScratch {
-    prev_blue: Vec<f64>,
     prev_red: Vec<f64>,
-    cur_blue: Vec<f64>,
     cur_red: Vec<f64>,
-    /// `(i, j)` split candidates the kernel never evaluated — by effective-width
-    /// capping or early exit. 0 for `Scalar`.
-    pruned_splits: usize,
+    prev_z: Vec<f64>,
+    cur_z: Vec<f64>,
+    blue_splits: Vec<u32>,
+    /// `(i, j)` split candidates evaluated and pruned since the last take.
+    tally: SplitTally,
 }
 
 impl DpScratch {
@@ -85,39 +106,45 @@ impl DpScratch {
         DpScratch::default()
     }
 
-    /// Makes the ping-pong buffers at least `cells` long. Returns the number
-    /// of buffers that had to (re)allocate — 0 once warm.
-    fn ensure(&mut self, cells: usize) -> usize {
-        let mut grew = 0;
-        for buf in [
-            &mut self.prev_blue,
-            &mut self.prev_red,
-            &mut self.cur_blue,
-            &mut self.cur_red,
-        ] {
-            if buf.len() < cells {
-                if buf.capacity() < cells {
-                    grew += 1;
-                }
-                buf.resize(cells.max(buf.capacity()), INF);
+    /// Makes the red buffers at least `cells` long and the blue ones at least
+    /// `n_i`. Returns the number of buffers that had to (re)allocate — 0 once
+    /// warm.
+    fn ensure(&mut self, cells: usize, n_i: usize) -> usize {
+        fn grow<T: Copy>(buf: &mut Vec<T>, len: usize, fill: T) -> usize {
+            if buf.len() >= len {
+                return 0;
             }
+            let grew = usize::from(buf.capacity() < len);
+            buf.resize(len.max(buf.capacity()), fill);
+            grew
         }
-        grew
+        grow(&mut self.prev_red, cells, INF)
+            + grow(&mut self.cur_red, cells, INF)
+            + grow(&mut self.prev_z, n_i, INF)
+            + grow(&mut self.cur_z, n_i, INF)
+            + grow(&mut self.blue_splits, n_i, 0)
+    }
+
+    /// Returns the split candidates evaluated since the last call and zeroes
+    /// the count (called at the end of every gather pass).
+    pub fn take_split_evals(&mut self) -> usize {
+        std::mem::take(&mut self.tally.evaluated)
     }
 
     /// Returns the split candidates pruned since the last call and zeroes the
     /// count (called at the end of every gather pass).
     pub fn take_pruned_splits(&mut self) -> usize {
-        std::mem::take(&mut self.pruned_splits)
+        std::mem::take(&mut self.tally.pruned)
     }
 
     /// Current heap footprint of the scratch buffers, in bytes.
     pub fn memory_bytes(&self) -> usize {
-        (self.prev_blue.capacity()
-            + self.prev_red.capacity()
-            + self.cur_blue.capacity()
-            + self.cur_red.capacity())
+        (self.prev_red.capacity()
+            + self.cur_red.capacity()
+            + self.prev_z.capacity()
+            + self.cur_z.capacity())
             * 8
+            + self.blue_splits.capacity() * 4
     }
 }
 
@@ -212,7 +239,13 @@ fn fill_leaf(out: NodeTableMut<'_>, path_rho: &[f64], load: u64, available: bool
 }
 
 /// Recursive case (Alg. 3, lines 10-29): fold the children in one at a time through the
-/// prefix recursion `Y^m`, recording the arg-min splits (`mCost`) along the way.
+/// prefix recursion, recording the arg-min splits (`mCost`) along the way.
+///
+/// The blue half folds `Z^m` once per child stage — one arg-min per `i`, whose
+/// split is written into every `ℓ` row of the stage's split block — and the red
+/// half folds `Y_R^m` once per `(stage, ℓ)` row. The final stage writes
+/// `Y_B(ℓ, i) = Z^{C(v)}(i) + ρ(ℓ)` and `X = min(Y_B, Y_R)` (see the
+/// [module docs](self)).
 #[allow(clippy::too_many_arguments)]
 fn fill_internal<'c>(
     out: NodeTableMut<'_>,
@@ -228,14 +261,16 @@ fn fill_internal<'c>(
     let n_l = path_rho.len();
     let cells = n_l * n_i;
     let load = load as f64;
-    let grew = scratch.ensure(cells);
+    let grew = scratch.ensure(cells, n_i);
     let DpScratch {
-        prev_blue,
         prev_red,
-        cur_blue,
         cur_red,
-        pruned_splits,
+        prev_z,
+        cur_z,
+        blue_splits,
+        tally,
     } = scratch;
+    let blue_splits = &mut blue_splits[..n_i];
 
     for m_index in 0..n_children {
         let cx = children_x
@@ -250,146 +285,178 @@ fn fill_internal<'c>(
             cx.len()
         );
         // The only row the blue recursion reads: the child at distance 1.
-        // Hoisted out of the ℓ loop (and its bounds check out of the j loop).
         let d1_row = &cx[c_w..2 * c_w];
         if m_index == 0 {
             // First child: Y^1 is a direct lookup, no split to record. Columns
             // past the child's width extend its plateau.
-            let cur_blue = &mut cur_blue[..cells];
+            // Blue (Z^1, written straight to prev_z): v consumes one blue
+            // node; c_1 is looked up at distance 1 with the other i - 1.
+            let z = &mut prev_z[..n_i];
+            z[0] = INF;
+            if available {
+                let w = c_w.min(n_i - 1);
+                z[1..=w].copy_from_slice(&d1_row[..w]);
+                z[w + 1..].fill(d1_row[c_w - 1]);
+            } else {
+                // Z stays ∞ and every blue split 0 through the last stage.
+                z[1..].fill(INF);
+                blue_splits.fill(0);
+            }
             let cur_red = &mut cur_red[..cells];
             for (l, &rho) in path_rho.iter().enumerate() {
                 let row = l * n_i;
                 // Red: c_1 is looked up at distance ℓ + 1; v's own workers travel
                 // ℓ links to the barrier.
                 let child_row = &cx[(l + 1) * c_w..(l + 2) * c_w];
-                let cb_row = &mut cur_blue[row..row + n_i];
                 let cr_row = &mut cur_red[row..row + n_i];
                 let red_base = rho * load;
                 for (cr, &c) in cr_row.iter_mut().zip(child_row) {
                     *cr = c + red_base;
                 }
                 cr_row[c_w..].fill(child_row[c_w - 1] + red_base);
-                // Blue: v consumes one blue node; c_1 is looked up at distance 1
-                // with the remaining i - 1 nodes.
-                cb_row[0] = INF;
-                if available {
-                    for (cb, &c) in cb_row[1..].iter_mut().zip(d1_row) {
-                        *cb = c + rho;
-                    }
-                    cb_row[(c_w + 1).min(n_i)..].fill(d1_row[c_w - 1] + rho);
-                } else {
-                    cb_row[1..].fill(INF);
-                }
             }
         } else {
             let m = m_index + 1; // the paper's 1-based child index
-            let prev_blue = &prev_blue[..cells];
+            if available {
+                fold_blue(
+                    kernel,
+                    &prev_z[..n_i],
+                    d1_row,
+                    &mut cur_z[..n_i],
+                    blue_splits,
+                    tally,
+                );
+                std::mem::swap(prev_z, cur_z);
+            }
             let prev_red = &prev_red[..cells];
-            let cur_blue = &mut cur_blue[..cells];
             let cur_red = &mut cur_red[..cells];
             let split_block = &mut out.splits[(m - 2) * cells * 2..(m - 1) * cells * 2];
-            // The blue fold always hands the child distance-1 costs, so its
-            // effective width is shared by every ℓ row.
-            let e_blue = match kernel {
-                DpKernel::Pruned => effective_width(d1_row),
-                DpKernel::Scalar => 0,
-            };
             for l in 0..n_l {
                 let row = l * n_i;
-                let child_row = &cx[(l + 1) * c_w..(l + 2) * c_w];
-                let pb_row = &prev_blue[row..row + n_i];
-                let pr_row = &prev_red[row..row + n_i];
-                let cb_row = &mut cur_blue[row..row + n_i];
-                let cr_row = &mut cur_red[row..row + n_i];
-                let split_row = &mut split_block[row * 2..(row + n_i) * 2];
-                match kernel {
-                    DpKernel::Pruned => {
-                        let e_red = effective_width(child_row);
-                        mcost_row_pruned(
-                            pb_row,
-                            pr_row,
-                            d1_row,
-                            child_row,
-                            available,
-                            e_blue,
-                            e_red,
-                            cb_row,
-                            cr_row,
-                            split_row,
-                            pruned_splits,
-                        );
-                    }
-                    DpKernel::Scalar => {
-                        mcost_row_scalar(
-                            pb_row, pr_row, d1_row, child_row, available, cb_row, cr_row, split_row,
-                        );
-                    }
-                }
+                fold_red_row(
+                    kernel,
+                    &prev_red[row..row + n_i],
+                    &cx[(l + 1) * c_w..(l + 2) * c_w],
+                    &mut cur_red[row..row + n_i],
+                    blue_splits,
+                    &mut split_block[row * 2..(row + n_i) * 2],
+                    tally,
+                );
             }
         }
-        std::mem::swap(prev_blue, cur_blue);
         std::mem::swap(prev_red, cur_red);
     }
 
-    // Final stage: Y_v = Y^{C(v)}, X_v = min(Y_B, Y_R).
-    let prev_blue = &prev_blue[..cells];
-    let prev_red = &prev_red[..cells];
-    for i in 0..cells {
-        let blue = prev_blue[i];
-        let red = prev_red[i];
-        out.y_blue[i] = blue;
-        out.y_red[i] = red;
-        out.x[i] = blue.min(red);
+    // Final stage: Y_B = Z^{C(v)} + ρ(ℓ), Y_R = Y_R^{C(v)}, X_v = min(Y_B, Y_R).
+    let z = &prev_z[..n_i];
+    for (l, &rho) in path_rho.iter().enumerate() {
+        let row = l * n_i..(l + 1) * n_i;
+        let cells = out.x[row.clone()]
+            .iter_mut()
+            .zip(&mut out.y_blue[row.clone()])
+            .zip(&mut out.y_red[row.clone()])
+            .zip(z.iter().zip(&prev_red[row]));
+        for (((x, yb), yr), (&z, &red)) in cells {
+            let blue = z + rho;
+            *yb = blue;
+            *yr = red;
+            *x = blue.min(red);
+        }
     }
     grew
 }
 
-/// Reference `mCost` row: the full quadratic arg-min scan, first strict minimum
-/// wins. The pruned row is property-tested bit-identical to this one.
-///
-/// The child rows may be narrower than the budget row; a split `j` past their
-/// last column reads that column (the child's plateau).
-#[allow(clippy::too_many_arguments)]
-fn mcost_row_scalar(
-    pb_row: &[f64],
-    pr_row: &[f64],
+/// `(i, j)` split candidates seen by the `mCost` arg-min scans of a scratch.
+#[derive(Debug, Default)]
+struct SplitTally {
+    /// Candidates whose value was computed.
+    evaluated: usize,
+    /// Candidates never evaluated — by effective-width capping or early exit.
+    /// 0 for `Scalar`.
+    pruned: usize,
+}
+
+/// One blue stage `m ≥ 2`: `z[i] = min_{0 ≤ j < i} z_prev[i − j] + d1[j]`
+/// (`z[0] = ∞`), with the first strict arg-min in `splits[i]`.
+fn fold_blue(
+    kernel: DpKernel,
+    z_prev: &[f64],
     d1_row: &[f64],
-    child_row: &[f64],
-    available: bool,
-    cb_row: &mut [f64],
-    cr_row: &mut [f64],
-    split_row: &mut [u32],
+    z: &mut [f64],
+    splits: &mut [u32],
+    tally: &mut SplitTally,
 ) {
-    let n_i = cb_row.len();
-    let c_last = child_row.len() - 1;
-    for i in 0..n_i {
-        // mCost for color B: hand j blue nodes to c_m, keep i - j ≥ 1
-        // in the prefix (one of them is v itself).
-        let mut best_blue = INF;
-        let mut best_blue_j = 0u32;
-        if available && i >= 1 {
-            for j in 0..i {
-                let value = pb_row[i - j] + d1_row[j.min(c_last)];
-                if value < best_blue {
-                    best_blue = value;
-                    best_blue_j = j as u32;
+    let e = effective_width(d1_row);
+    z[0] = INF;
+    splits[0] = 0;
+    for i in 1..z.len() {
+        (z[i], splits[i]) = argmin(kernel, z_prev, d1_row, i, i - 1, e, tally);
+    }
+}
+
+/// One red row of stage `m ≥ 2`: `cr[i] = min_{0 ≤ j ≤ i} pr[i − j] +
+/// child[j]`. Writes the row's `(blue, red)` split pairs, taking the blue
+/// split of column `i` from the stage's `blue_splits`.
+fn fold_red_row(
+    kernel: DpKernel,
+    pr_row: &[f64],
+    child_row: &[f64],
+    cr_row: &mut [f64],
+    blue_splits: &[u32],
+    split_row: &mut [u32],
+    tally: &mut SplitTally,
+) {
+    let e = effective_width(child_row);
+    for (i, (cr, pair)) in cr_row
+        .iter_mut()
+        .zip(split_row.chunks_exact_mut(2))
+        .enumerate()
+    {
+        let (best, best_j) = argmin(kernel, pr_row, child_row, i, i, e, tally);
+        *cr = best;
+        pair[0] = blue_splits[i];
+        pair[1] = best_j;
+    }
+}
+
+/// The first strict minimum of `p[i − j] + c[j]` over `j ∈ [0, hi]`, and its
+/// `j`. `p` and `c` are non-increasing DP rows; `c` may be narrower than
+/// `hi + 1` columns as long as it ends on its plateau, which starts at `e`.
+///
+/// `Scalar` scans every candidate, reading `c` past its last column as that
+/// column; `Pruned` runs [`argmin_pruned`], which returns the same value and
+/// split.
+#[inline(always)]
+fn argmin(
+    kernel: DpKernel,
+    p: &[f64],
+    c: &[f64],
+    i: usize,
+    hi: usize,
+    e: usize,
+    tally: &mut SplitTally,
+) -> (f64, u32) {
+    match kernel {
+        DpKernel::Pruned => {
+            let (best, best_j, skipped) = argmin_pruned(p, c, i, hi, e);
+            tally.evaluated += hi + 1 - skipped;
+            tally.pruned += skipped;
+            (best, best_j)
+        }
+        DpKernel::Scalar => {
+            let c_last = c.len() - 1;
+            let mut best = INF;
+            let mut best_j = 0u32;
+            for j in 0..=hi {
+                let value = p[i - j] + c[j.min(c_last)];
+                if value < best {
+                    best = value;
+                    best_j = j as u32;
                 }
             }
+            tally.evaluated += hi + 1;
+            (best, best_j)
         }
-        // mCost for color R.
-        let mut best_red = INF;
-        let mut best_red_j = 0u32;
-        for j in 0..=i {
-            let value = pr_row[i - j] + child_row[j.min(c_last)];
-            if value < best_red {
-                best_red = value;
-                best_red_j = j as u32;
-            }
-        }
-        cb_row[i] = best_blue;
-        cr_row[i] = best_red;
-        split_row[i * 2] = best_blue_j;
-        split_row[i * 2 + 1] = best_red_j;
     }
 }
 
@@ -423,42 +490,6 @@ fn argmin_pruned(p: &[f64], c: &[f64], i: usize, hi: usize, e: usize) -> (f64, u
         j += 1;
     }
     (best, best_j, hi - jmax)
-}
-
-/// `mCost` row in scalar iteration order with effective-width capping and
-/// early exit. Bit-identical to [`mcost_row_scalar`] (values and splits).
-#[allow(clippy::too_many_arguments)]
-fn mcost_row_pruned(
-    pb_row: &[f64],
-    pr_row: &[f64],
-    d1_row: &[f64],
-    child_row: &[f64],
-    available: bool,
-    e_blue: usize,
-    e_red: usize,
-    cb_row: &mut [f64],
-    cr_row: &mut [f64],
-    split_row: &mut [u32],
-    pruned_splits: &mut usize,
-) {
-    let n_i = cb_row.len();
-    let mut skipped = 0usize;
-    for i in 0..n_i {
-        let (best_blue, best_blue_j) = if available && i >= 1 {
-            let (v, j, s) = argmin_pruned(pb_row, d1_row, i, i - 1, e_blue);
-            skipped += s;
-            (v, j)
-        } else {
-            (INF, 0)
-        };
-        let (best_red, best_red_j, s) = argmin_pruned(pr_row, child_row, i, i, e_red);
-        skipped += s;
-        cb_row[i] = best_blue;
-        cr_row[i] = best_red;
-        split_row[i * 2] = best_blue_j;
-        split_row[i * 2 + 1] = best_red_j;
-    }
-    *pruned_splits += skipped;
 }
 
 /// One SOAR-Color step (Alg. 4) at a switch with `n_children` children and
@@ -712,6 +743,6 @@ mod tests {
         assert_eq!(runs[0].1, reference.y_blue);
         assert_eq!(runs[0].2, reference.y_red);
         assert_eq!(runs[0].3, reference.splits);
-        assert!(scratch.memory_bytes() >= 4 * cells * 8);
+        assert!(scratch.memory_bytes() >= 2 * cells * 8 + 2 * n_i * 8 + n_i * 4);
     }
 }

@@ -88,6 +88,8 @@ pub struct SolverWorkspace {
     /// The `mCost` kernel every gather runs: [`DpKernel::Pruned`] unless a
     /// test picks the scalar oracle with [`Self::set_kernel`].
     kernel: DpKernel,
+    /// Split candidates evaluated by the most recent gather.
+    last_split_evals: usize,
     /// Split candidates skipped by the most recent gather's pruning.
     last_pruned_splits: usize,
     /// Color steps the most recent trace ran (switches that held budget).
@@ -280,7 +282,11 @@ impl SolverWorkspace {
         self.last_alloc_events += events;
         self.total_alloc_events += events;
         self.last_nodes_traced = traced;
-        soar_obs::counter!("soar_traceback_nodes_total").add(traced as u64);
+        soar_obs::counter!(
+            "soar_traceback_nodes_total",
+            "SOAR-Color steps run by tracebacks: the switches handed budget"
+        )
+        .add(traced as u64);
         self.tables.optimum_with_exactly(i)
     }
 
@@ -356,6 +362,13 @@ impl SolverWorkspace {
         self.kernel = kernel;
     }
 
+    /// Split candidates the most recent gather evaluated: the exact work of
+    /// its `mCost` arg-min scans. With [`Self::last_pruned_splits`] it adds
+    /// up to the candidate count of the unpruned search.
+    pub fn last_split_evals(&self) -> usize {
+        self.last_split_evals
+    }
+
     /// Split candidates the most recent gather's pruning skipped relative to
     /// the full quadratic arg-min search (0 for the scalar kernel).
     pub fn last_pruned_splits(&self) -> usize {
@@ -384,18 +397,38 @@ impl SolverWorkspace {
         self.last_alloc_events = events;
         self.total_alloc_events += events;
         self.last_cells_written = cells_written;
-        let pruned = self
-            .scratches
-            .iter_mut()
-            .map(DpScratch::take_pruned_splits)
-            .sum::<usize>();
+        let (evals, pruned) = self.scratches.iter_mut().fold((0, 0), |(e, p), s| {
+            (e + s.take_split_evals(), p + s.take_pruned_splits())
+        });
+        self.last_split_evals = evals;
         self.last_pruned_splits = pruned;
-        // Process-wide DP counters: the same quantities DpStats reports
-        // per-solve, accumulated for the /metrics exposition.
-        soar_obs::counter!("soar_gather_passes_total").inc();
-        soar_obs::counter!("soar_gather_cells_written_total").add(cells_written as u64);
-        soar_obs::counter!("soar_gather_pruned_splits_total").add(pruned as u64);
-        soar_obs::counter!("soar_gather_alloc_events_total").add(events as u64);
+        // Process-wide DP counters: the per-pass quantities above,
+        // accumulated for the /metrics exposition.
+        soar_obs::counter!(
+            "soar_gather_passes_total",
+            "SOAR-Gather passes run: full, replayed and incremental"
+        )
+        .inc();
+        soar_obs::counter!(
+            "soar_gather_cells_written_total",
+            "DP table cells SOAR-Gather passes wrote"
+        )
+        .add(cells_written as u64);
+        soar_obs::counter!(
+            "soar_gather_split_evals_total",
+            "mCost split candidates SOAR-Gather evaluated"
+        )
+        .add(evals as u64);
+        soar_obs::counter!(
+            "soar_gather_pruned_splits_total",
+            "mCost split candidates SOAR-Gather's pruning skipped unevaluated"
+        )
+        .add(pruned as u64);
+        soar_obs::counter!(
+            "soar_gather_alloc_events_total",
+            "solver workspace buffers (re)allocated by gather passes"
+        )
+        .add(events as u64);
         let scratch_bytes = self
             .scratches
             .iter()

@@ -10,6 +10,12 @@
 //! degenerate paths and stars, random trees with random loads / rates /
 //! availability — by comparing whole [`GatherTables`] for equality, which
 //! covers every `X` row, every `Y` row, and every recorded arg-min split.
+//!
+//! The kernels fold the blue half of the recursion once per child stage and
+//! add `ρ(ℓ)` last; a short reference of the paper's order, which carries
+//! `ρ(ℓ)` from the first child and folds every `ℓ` row, pins that reordering.
+//! Each pass's split candidates are counted exactly: evaluated plus pruned is
+//! the closed-form candidate count of the unpruned search.
 
 mod common;
 
@@ -17,9 +23,11 @@ use common::{randomize, shapes};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use soar_core::node_dp::{color_step, fill_node, DpScratch, NodeTableMut};
+use soar_core::tables::INF;
 use soar_core::workspace::SolverWorkspace;
 use soar_core::{brute_force, Color, DpKernel, GatherTables, NodeTableView};
 use soar_reduce::Coloring;
+use soar_topology::rates::RateScheme;
 use soar_topology::{builders, NodeId, Tree, ROOT};
 
 fn gather_with(tree: &Tree, k: usize, kernel: DpKernel) -> GatherTables {
@@ -293,5 +301,213 @@ fn incremental_updates_preserve_kernel_identity() {
             "partial regather diverged under kernel {kernel:?}"
         );
         tree.set_load(leaf, 0); // reset so every kernel sees the same sequence
+    }
+}
+
+/// The uniform `k + 1`-column tables in the paper's summation order: the blue
+/// prefix `Y_B^m(ℓ, ·)` picks up `ρ(ℓ)` at the first child, and the blue
+/// fold, arg-min scan included, runs once per `ℓ` row.
+fn rho_first_tables(tree: &Tree, k: usize) -> Vec<UniformTable> {
+    let n_i = k + 1;
+    let mut tables: Vec<Option<UniformTable>> = (0..tree.n_switches()).map(|_| None).collect();
+    for v in tree.post_order() {
+        let (rho, children) = (tree.path_rho(v), tree.children(v));
+        let (n_l, load, available) = (rho.len(), tree.load(v) as f64, tree.available(v));
+        let mut yb = vec![INF; n_l * n_i];
+        let mut yr: Vec<f64> = (0..n_l * n_i).map(|c| rho[c / n_i] * load).collect();
+        for (c, y) in yb.iter_mut().enumerate() {
+            if available && children.is_empty() && c % n_i > 0 {
+                *y = rho[c / n_i];
+            }
+        }
+        let mut splits = vec![0u32; children.len().saturating_sub(1) * n_l * n_i * 2];
+        for (m, &c) in children.iter().enumerate() {
+            let cx = &tables[c].as_ref().unwrap().x;
+            let (pb, pr) = (yb.clone(), yr.clone());
+            for (l, i) in (0..n_l).flat_map(|l| (0..n_i).map(move |i| (l, i))) {
+                let (cell, d1, cl) = (l * n_i + i, &cx[n_i..], &cx[(l + 1) * n_i..]);
+                if m == 0 {
+                    yr[cell] = cl[i] + rho[l] * load;
+                    yb[cell] = if available && i > 0 {
+                        d1[i - 1] + rho[l]
+                    } else {
+                        INF
+                    };
+                    continue;
+                }
+                let mut blue = (INF, 0);
+                for j in (0..i).filter(|_| available) {
+                    if pb[cell - j] + d1[j] < blue.0 {
+                        blue = (pb[cell - j] + d1[j], j as u32);
+                    }
+                }
+                let mut red = (INF, 0);
+                for j in 0..=i {
+                    if pr[cell - j] + cl[j] < red.0 {
+                        red = (pr[cell - j] + cl[j], j as u32);
+                    }
+                }
+                (yb[cell], yr[cell]) = (blue.0, red.0);
+                let at = ((m - 1) * n_l * n_i + cell) * 2;
+                (splits[at], splits[at + 1]) = (blue.1, red.1);
+            }
+        }
+        let x = yb.iter().zip(&yr).map(|(b, r)| b.min(*r)).collect();
+        tables[v] = Some(UniformTable {
+            k,
+            rho,
+            x,
+            y_blue: yb,
+            y_red: yr,
+            splits,
+        });
+    }
+    tables.into_iter().map(Option::unwrap).collect()
+}
+
+#[test]
+fn z_fold_equals_the_rho_first_fold_bit_for_bit_under_dyadic_rates() {
+    // Integer loads and power-of-two rates keep every sum exact, so adding
+    // ρ(ℓ) last changes no value and no arg-min: the tables, splits
+    // included, must be the reference's bit for bit under both kernels.
+    let mut rng = StdRng::seed_from_u64(0xD1AD);
+    for (name, mut tree) in shapes(&mut rng) {
+        for scheme in [
+            RateScheme::paper_constant(),
+            RateScheme::paper_exponential(),
+        ] {
+            tree.apply_rates(&scheme);
+            for k in [1usize, 4, 16] {
+                let reference = rho_first_tables(&tree, k);
+                for kernel in [DpKernel::Scalar, DpKernel::Pruned] {
+                    assert_capped_matches_uniform(
+                        &tree,
+                        &gather_with(&tree, k, kernel),
+                        &reference,
+                    );
+                }
+                let uniform = uniform_tables(&tree, k, DpKernel::Pruned);
+                for (v, (new, old)) in uniform.iter().zip(&reference).enumerate() {
+                    assert_eq!(
+                        (&new.x, &new.y_blue, &new.y_red, &new.splits),
+                        (&old.x, &old.y_blue, &old.y_red, &old.splits),
+                        "{name}, {}, k = {k}, switch {v}",
+                        scheme.label()
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn z_fold_agrees_with_the_rho_first_fold_under_non_dyadic_rates() {
+    // With rates that round, the two summation orders may differ in the last
+    // bits (and pick another of two near-tied splits), but no further: every
+    // X and Y agrees within 1e-12 relative, and the optimum is still brute
+    // force's.
+    let close = |a: f64, b: f64| a == b || (a - b).abs() <= 1e-12 * a.abs().max(b.abs());
+    let mut rng = StdRng::seed_from_u64(0x0DD);
+    for round in 0..40 {
+        let n = rng.random_range(1..=60);
+        let mut tree = builders::random_tree(n, &mut rng);
+        randomize(&mut tree, &mut rng);
+        for v in 0..n {
+            tree.set_rate(v, rng.random_range(0.3..3.7));
+        }
+        for k in [1, 3, n] {
+            let (new, old) = (
+                uniform_tables(&tree, k, DpKernel::Pruned),
+                rho_first_tables(&tree, k),
+            );
+            for (v, (a, b)) in new.iter().zip(&old).enumerate() {
+                for (what, xs, ys) in [
+                    ("X", &a.x, &b.x),
+                    ("Y_B", &a.y_blue, &b.y_blue),
+                    ("Y_R", &a.y_red, &b.y_red),
+                ] {
+                    for (c, (&x, &y)) in xs.iter().zip(ys).enumerate() {
+                        assert!(
+                            close(x, y),
+                            "{what} cell {c} of switch {v}: {x} vs {y}, round {round}, k = {k}"
+                        );
+                    }
+                }
+            }
+            if n <= 14 {
+                let (soar, oracle) = (
+                    SolverWorkspace::new().solve(&tree, k),
+                    brute_force(&tree, k),
+                );
+                assert!(
+                    (oracle.cost - soar.cost).abs() <= 1e-9 * oracle.cost.max(1.0),
+                    "brute force {} vs SOAR {} at round {round}, n = {n}, k = {k}",
+                    oracle.cost,
+                    soar.cost
+                );
+            }
+        }
+    }
+}
+
+/// The `(i, j)` split candidates an unpruned fill of `nodes` scans in
+/// `tables`' layout: every stage `m ≥ 2` scans `j < i` for blue (once per
+/// stage, at an available switch) and `j ≤ i` for red (once per `ℓ` row).
+fn candidate_count(
+    tree: &Tree,
+    tables: &GatherTables,
+    nodes: impl Iterator<Item = NodeId>,
+) -> usize {
+    nodes
+        .map(|v| {
+            let (n_l, n_i) = (tables.node(v).n_l, tables.node(v).n_i);
+            let blue = if tree.available(v) {
+                n_i * (n_i - 1) / 2
+            } else {
+                0
+            };
+            let red = n_l * n_i * (n_i + 1) / 2;
+            tree.n_children(v).saturating_sub(1) * (blue + red)
+        })
+        .sum()
+}
+
+#[test]
+fn split_evals_plus_pruned_splits_is_the_closed_form_count_on_every_shape() {
+    let mut rng = StdRng::seed_from_u64(0xC0C0);
+    for (name, mut tree) in shapes(&mut rng) {
+        for k in [0usize, 3, 16, 64] {
+            let at = format!("{name}, k = {k}");
+            let mut scalar = SolverWorkspace::new();
+            scalar.set_kernel(DpKernel::Scalar);
+            let count = candidate_count(&tree, scalar.gather(&tree, k), tree.node_ids());
+            assert_eq!(
+                scalar.last_split_evals(),
+                count,
+                "scalar evaluations at {at}"
+            );
+            assert_eq!(scalar.last_pruned_splits(), 0, "scalar prunes at {at}");
+            let mut pruned = SolverWorkspace::new();
+            let _ = pruned.gather(&tree, k);
+            let (evals, skipped) = (pruned.last_split_evals(), pruned.last_pruned_splits());
+            assert_eq!(
+                evals + skipped,
+                count,
+                "pruned evaluations + pruned at {at}"
+            );
+            // A refill counts only the dirty nodes' candidates: here the
+            // whole root path of one leaf, so never more than a full pass.
+            let leaf = tree.leaves().last().unwrap();
+            tree.set_load(leaf, tree.load(leaf) + 1);
+            let mut dirty = vec![leaf];
+            while let Some(p) = tree.parent(*dirty.last().unwrap()) {
+                dirty.push(p);
+            }
+            let _ = pruned.gather_update(&tree, k, &dirty);
+            assert!(
+                pruned.last_split_evals() <= count,
+                "refill evaluations at {at}"
+            );
+        }
     }
 }

@@ -25,7 +25,7 @@
 //! use soar_obs::{counter, span};
 //!
 //! // Metrics are always live; one relaxed RMW per increment.
-//! counter!("soar_doc_solves_total").inc();
+//! counter!("soar_doc_solves_total", "solves run by this example").inc();
 //!
 //! // Spans only record while tracing is enabled.
 //! soar_obs::set_tracing(true);
@@ -107,24 +107,33 @@ macro_rules! span {
 
 /// Resolves (once per call site) a named [`registry::Counter`].
 ///
-/// `counter!("soar_x_total").inc()` — the lookup is cached in a `OnceLock`,
-/// so steady-state cost is one load plus the relaxed increment.
+/// `counter!("soar_x_total", "what it counts").inc()` — the lookup is cached
+/// in a `OnceLock`, so steady-state cost is one load plus the relaxed
+/// increment. The description becomes the metric's `# HELP` text; a site
+/// that only reads the counter may leave it out.
 #[macro_export]
 macro_rules! counter {
-    ($name:expr) => {{
+    ($name:expr) => {
+        $crate::counter!($name, "")
+    };
+    ($name:expr, $help:expr) => {{
         static SITE: ::std::sync::OnceLock<&'static $crate::registry::Counter> =
             ::std::sync::OnceLock::new();
-        *SITE.get_or_init(|| $crate::registry::counter($name))
+        *SITE.get_or_init(|| $crate::registry::counter($name, $help))
     }};
 }
 
-/// Resolves (once per call site) a named [`registry::Gauge`].
+/// Resolves (once per call site) a named [`registry::Gauge`], described like
+/// a [`counter!`].
 #[macro_export]
 macro_rules! gauge {
-    ($name:expr) => {{
+    ($name:expr) => {
+        $crate::gauge!($name, "")
+    };
+    ($name:expr, $help:expr) => {{
         static SITE: ::std::sync::OnceLock<&'static $crate::registry::Gauge> =
             ::std::sync::OnceLock::new();
-        *SITE.get_or_init(|| $crate::registry::gauge($name))
+        *SITE.get_or_init(|| $crate::registry::gauge($name, $help))
     }};
 }
 

@@ -105,6 +105,9 @@ impl PromWriter {
 /// `counter!`/`gauge!` sites), grouped by family in registration order, then
 /// `soar_trace_events_dropped_total`: the span events lost to ring
 /// overwrites ([`span::dropped_total`](crate::span::dropped_total)).
+///
+/// A family's `# HELP` text is the description its sites registered; only a
+/// family no site described falls back to its own name.
 pub fn render_registry() -> String {
     let mut w = PromWriter::new();
     // Read before the registry lock, so the two global locks never nest.
@@ -118,11 +121,16 @@ pub fn render_registry() -> String {
             continue;
         }
         done.push(entry.name);
-        for e in reg.iter().filter(|e| e.name == entry.name) {
+        let family = || reg.iter().filter(|e| e.name == entry.name);
+        let help = family()
+            .map(|e| e.help)
+            .find(|h| !h.is_empty())
+            .unwrap_or(entry.name);
+        for e in family() {
             match e.kind {
-                MetricKind::Counter(c) => w.counter(e.name, e.name, &e.labels, c.get()),
-                MetricKind::Gauge(g) => w.gauge(e.name, e.name, &e.labels, g.get() as f64),
-                MetricKind::Summary(h) => w.summary(e.name, e.name, h),
+                MetricKind::Counter(c) => w.counter(e.name, help, &e.labels, c.get()),
+                MetricKind::Gauge(g) => w.gauge(e.name, help, &e.labels, g.get() as f64),
+                MetricKind::Summary(h) => w.summary(e.name, help, h),
             }
         }
     }
@@ -171,9 +179,12 @@ mod tests {
 
     #[test]
     fn registry_render_includes_registered_metrics() {
-        crate::registry::counter("soar_prom_render_test_total").add(11);
+        crate::registry::counter("soar_prom_render_test_total", "a render test counter").add(11);
+        crate::registry::counter("soar_prom_render_bare_total", "").inc();
         let text = render_registry();
         assert!(text.contains("soar_prom_render_test_total 11"));
+        assert!(text.contains("# HELP soar_prom_render_test_total a render test counter\n"));
+        assert!(text.contains("# HELP soar_prom_render_bare_total soar_prom_render_bare_total\n"));
         assert!(text.contains("# TYPE soar_trace_events_dropped_total counter"));
         // Well-formed: every non-comment line is `name[{labels}] value`.
         for line in text.lines() {

@@ -10,7 +10,9 @@
 //!
 //! Registration deduplicates on `(name, labels)`: two call sites naming the
 //! same metric share one cell, which is what makes the exposition coherent —
-//! there is exactly one source of truth per metric name.
+//! there is exactly one source of truth per metric name. Each entry also
+//! keeps the description its first describing site gave, which the
+//! exposition prints as the family's `# HELP` text.
 
 use crate::hist::LatencyHistogram;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -94,6 +96,8 @@ pub(crate) enum MetricKind {
 
 pub(crate) struct Entry {
     pub(crate) name: &'static str,
+    /// What the metric counts, for `# HELP`. Empty = undescribed.
+    pub(crate) help: &'static str,
     /// Rendered inside `{}` after the name, e.g. `worker="3"`. Empty = none.
     pub(crate) labels: String,
     pub(crate) kind: MetricKind,
@@ -101,31 +105,42 @@ pub(crate) struct Entry {
 
 pub(crate) static REGISTRY: Mutex<Vec<Entry>> = Mutex::new(Vec::new());
 
-fn find_or_insert(name: &'static str, labels: String, make: impl FnOnce() -> MetricKind) -> usize {
+fn find_or_insert(
+    name: &'static str,
+    help: &'static str,
+    labels: String,
+    make: impl FnOnce() -> MetricKind,
+) -> usize {
     let mut reg = REGISTRY.lock().expect("metric registry poisoned");
     if let Some(i) = reg
         .iter()
         .position(|e| e.name == name && e.labels == labels)
     {
+        // A site that only reads the metric may register it first.
+        if reg[i].help.is_empty() {
+            reg[i].help = help;
+        }
         return i;
     }
     reg.push(Entry {
         name,
+        help,
         labels,
         kind: make(),
     });
     reg.len() - 1
 }
 
-/// Registers (or finds) the process-wide counter `name`.
-pub fn counter(name: &'static str) -> &'static Counter {
-    counter_labeled(name, String::new())
+/// Registers (or finds) the process-wide counter `name`, described by `help`
+/// (empty for a site that only reads it).
+pub fn counter(name: &'static str, help: &'static str) -> &'static Counter {
+    counter_labeled(name, help, String::new())
 }
 
 /// Registers (or finds) the counter `name{labels}` — `labels` is the rendered
 /// Prometheus label body, e.g. `worker="3"`.
-pub fn counter_labeled(name: &'static str, labels: String) -> &'static Counter {
-    let i = find_or_insert(name, labels, || {
+pub fn counter_labeled(name: &'static str, help: &'static str, labels: String) -> &'static Counter {
+    let i = find_or_insert(name, help, labels, || {
         MetricKind::Counter(Box::leak(Box::new(Counter::new())))
     });
     let reg = REGISTRY.lock().expect("metric registry poisoned");
@@ -135,9 +150,9 @@ pub fn counter_labeled(name: &'static str, labels: String) -> &'static Counter {
     }
 }
 
-/// Registers (or finds) the process-wide gauge `name`.
-pub fn gauge(name: &'static str) -> &'static Gauge {
-    let i = find_or_insert(name, String::new(), || {
+/// Registers (or finds) the process-wide gauge `name`, described by `help`.
+pub fn gauge(name: &'static str, help: &'static str) -> &'static Gauge {
+    let i = find_or_insert(name, help, String::new(), || {
         MetricKind::Gauge(Box::leak(Box::new(Gauge::new())))
     });
     let reg = REGISTRY.lock().expect("metric registry poisoned");
@@ -148,9 +163,10 @@ pub fn gauge(name: &'static str) -> &'static Gauge {
 }
 
 /// Registers (or finds) the process-wide latency summary `name` (a
-/// [`LatencyHistogram`] rendered with quantiles at exposition).
-pub fn summary(name: &'static str) -> &'static LatencyHistogram {
-    let i = find_or_insert(name, String::new(), || {
+/// [`LatencyHistogram`] rendered with quantiles at exposition), described by
+/// `help`.
+pub fn summary(name: &'static str, help: &'static str) -> &'static LatencyHistogram {
+    let i = find_or_insert(name, help, String::new(), || {
         MetricKind::Summary(Box::leak(Box::new(LatencyHistogram::new())))
     });
     let reg = REGISTRY.lock().expect("metric registry poisoned");
@@ -166,18 +182,25 @@ mod tests {
 
     #[test]
     fn same_name_shares_one_cell() {
-        let a = counter("test_registry_shared_total");
-        let b = counter("test_registry_shared_total");
+        let a = counter("test_registry_shared_total", "");
+        let b = counter("test_registry_shared_total", "a shared test cell");
         assert!(std::ptr::eq(a, b));
         a.inc();
         b.add(2);
         assert_eq!(a.get(), 3);
+        let reg = REGISTRY.lock().unwrap();
+        let entry = reg.iter().find(|e| e.name == "test_registry_shared_total");
+        assert_eq!(
+            entry.unwrap().help,
+            "a shared test cell",
+            "a later site describes it"
+        );
     }
 
     #[test]
     fn labels_split_cells() {
-        let a = counter_labeled("test_registry_labeled_total", "worker=\"0\"".into());
-        let b = counter_labeled("test_registry_labeled_total", "worker=\"1\"".into());
+        let a = counter_labeled("test_registry_labeled_total", "", "worker=\"0\"".into());
+        let b = counter_labeled("test_registry_labeled_total", "", "worker=\"1\"".into());
         assert!(!std::ptr::eq(a, b));
         a.inc();
         assert_eq!(a.get(), 1);
@@ -186,7 +209,7 @@ mod tests {
 
     #[test]
     fn gauges_move_both_ways() {
-        let g = gauge("test_registry_gauge");
+        let g = gauge("test_registry_gauge", "");
         g.add(5);
         g.add(-2);
         assert_eq!(g.get(), 3);

@@ -94,7 +94,7 @@ impl Shared {
         // reverse order would transiently wrap the counter to usize::MAX and
         // defeat the `queued == 0` sleep gates).
         self.queued.fetch_add(1, Ordering::Release);
-        gauge!("soar_pool_queue_depth").add(1);
+        gauge!("soar_pool_queue_depth", QUEUE_DEPTH_HELP).add(1);
         match preferred {
             Some(w) => self.deques[w]
                 .lock()
@@ -147,9 +147,12 @@ impl Shared {
     /// queue-depth gauge move together.
     fn claimed(&self) {
         self.queued.fetch_sub(1, Ordering::Release);
-        gauge!("soar_pool_queue_depth").add(-1);
+        gauge!("soar_pool_queue_depth", QUEUE_DEPTH_HELP).add(-1);
     }
 }
+
+/// `# HELP` text of the obs gauge that moves with [`Shared::queued`].
+const QUEUE_DEPTH_HELP: &str = "jobs pushed to a soar-pool queue and not yet claimed by a thread";
 
 thread_local! {
     /// The worker index of the current thread in the pool it belongs to, used to
@@ -171,13 +174,14 @@ thread_local! {
 
 /// Counts one successful steal on the current thread's cached counter.
 fn note_steal() {
+    const NAME: &str = "soar_pool_steals_total";
+    const HELP: &str = "jobs a soar-pool thread took from another worker's queue";
     STEAL_COUNTER.with(|cell| {
         cell.get_or_init(|| match WORKER.with(|w| w.get()) {
-            Some((_, index)) => soar_obs::registry::counter_labeled(
-                "soar_pool_steals_total",
-                format!("worker=\"{index}\""),
-            ),
-            None => soar_obs::registry::counter("soar_pool_steals_total"),
+            Some((_, index)) => {
+                soar_obs::registry::counter_labeled(NAME, HELP, format!("worker=\"{index}\""))
+            }
+            None => soar_obs::registry::counter(NAME, HELP),
         })
         .inc()
     });
@@ -420,9 +424,10 @@ impl<'env> Scope<'env, '_> {
 /// The main loop of one worker thread.
 fn worker_loop(shared: &Shared, pool_id: usize, index: usize) {
     WORKER.with(|w| w.set(Some((pool_id, index))));
-    let jobs = counter!("soar_pool_jobs_total");
+    let jobs = counter!("soar_pool_jobs_total", "jobs run by soar-pool workers");
     let idle_ns = soar_obs::registry::counter_labeled(
         "soar_pool_idle_ns_total",
+        "nanoseconds soar-pool workers slept waiting for a job",
         format!("worker=\"{index}\""),
     );
     loop {

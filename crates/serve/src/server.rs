@@ -532,11 +532,16 @@ fn accept_loop(
             Ok(s) => Arc::new(s),
             Err(_) => continue,
         };
-        shared
-            .conns
-            .lock()
-            .unwrap()
-            .push(Arc::downgrade(&read_half));
+        // Each accept also reaps what finished connections left behind: the
+        // `Weak` of a closed socket and the handle of an exited reader, which
+        // is joined here rather than at shutdown. Without this, a daemon
+        // serving many short connections grows by every one it ever
+        // accepted.
+        {
+            let mut conns = shared.conns.lock().unwrap();
+            conns.retain(|c| c.strong_count() > 0);
+            conns.push(Arc::downgrade(&read_half));
+        }
         let conn = Arc::new(Conn {
             out: Mutex::new(ConnOut {
                 stream,
@@ -551,7 +556,11 @@ fn accept_loop(
             .name(format!("soar-serve-conn-{id}"))
             .spawn(move || reader_loop(&read_half, &conn, &shared, addr));
         if let Ok(handle) = handle {
-            readers.lock().unwrap().push(handle);
+            let mut readers = readers.lock().unwrap();
+            for done in readers.extract_if(.., |r| r.is_finished()) {
+                let _ = done.join();
+            }
+            readers.push(handle);
         }
     }
 }
@@ -1629,6 +1638,61 @@ mod tests {
         assert_eq!(snap.wal_records, 1, "only the valid register was logged");
         assert_eq!((snap.registers, snap.io_errors), (1, 0));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn short_lived_connections_do_not_accumulate() {
+        // Hundreds of connections in sequence, never more than `OPEN` at
+        // once: the reader handles and the socket `Weak`s of closed ones must
+        // be reaped on later accepts, not kept until shutdown.
+        const CONNS: u64 = 300;
+        const OPEN: usize = 3;
+        let handle = start(ServeConfig::default()).unwrap();
+        let lens = || {
+            let conns = handle.shared.conns.lock().unwrap().len();
+            (conns, handle.readers.lock().unwrap().len())
+        };
+        let mut open = VecDeque::new();
+        for id in 0..CONNS {
+            let mut client = Client::connect(&handle.addr()).unwrap();
+            // A round trip proves the reader runs before the close.
+            let resp = client.call(&request(id, RequestBody::Metrics)).unwrap();
+            assert!(
+                matches!(resp.body, ResponseBody::MetricsReport { .. }),
+                "{resp:?}"
+            );
+            open.push_back(client);
+            if open.len() > OPEN {
+                open.pop_front();
+            }
+            // Closed readers exit asynchronously, so allow some lag here;
+            // without reaping both lists would reach `CONNS`.
+            let (conns, readers) = lens();
+            assert!(
+                conns <= 64 && readers <= 64,
+                "{conns} conns, {readers} readers"
+            );
+        }
+        open.clear();
+        // Once the closed readers have exited, one more accept leaves only
+        // itself behind.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let client = Client::connect(&handle.addr()).unwrap();
+            std::thread::sleep(Duration::from_millis(20));
+            let (conns, readers) = lens();
+            drop(client);
+            if conns <= 1 + OPEN && readers <= 1 + OPEN {
+                break;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "{conns} conns, {readers} readers after every peer closed"
+            );
+        }
+        handle.shutdown();
+        let snap = handle.join();
+        assert!(snap.accepted_conns > CONNS, "{}", snap.accepted_conns);
     }
 
     #[test]
