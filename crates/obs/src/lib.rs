@@ -137,6 +137,18 @@ macro_rules! gauge {
     }};
 }
 
+/// Resolves (once per call site) a named registry summary, a
+/// [`hist::LatencyHistogram`] that records nanoseconds and is exposed in
+/// seconds, so name it `*_seconds`. Described like a [`counter!`].
+#[macro_export]
+macro_rules! summary {
+    ($name:expr, $help:expr) => {{
+        static SITE: ::std::sync::OnceLock<&'static $crate::hist::LatencyHistogram> =
+            ::std::sync::OnceLock::new();
+        *SITE.get_or_init(|| $crate::registry::summary($name, $help))
+    }};
+}
+
 #[cfg(test)]
 mod tests {
     #[test]

@@ -70,11 +70,21 @@ impl PromWriter {
     /// A full summary family from a live histogram: `quantile` samples plus
     /// `_sum` (bucket-resolution upper bound) and `_count`.
     pub fn summary(&mut self, name: &str, help: &str, hist: &LatencyHistogram) {
-        let quantiles: Vec<(f64, u64)> = [0.5, 0.9, 0.99, 0.999]
+        self.summary_scaled(name, help, hist, 1.0);
+    }
+
+    /// [`Self::summary`] of a nanosecond histogram, exposed in seconds.
+    pub fn summary_seconds(&mut self, name: &str, help: &str, hist: &LatencyHistogram) {
+        self.summary_scaled(name, help, hist, 1e9);
+    }
+
+    fn summary_scaled(&mut self, name: &str, help: &str, hist: &LatencyHistogram, per_unit: f64) {
+        let quantiles: Vec<(f64, f64)> = [0.5, 0.9, 0.99, 0.999]
             .iter()
-            .map(|&q| (q, hist.quantile(q)))
+            .map(|&q| (q, hist.quantile(q) as f64 / per_unit))
             .collect();
-        self.summary_premade(name, help, &quantiles, hist.approx_sum() as f64, hist.len());
+        let sum = hist.approx_sum() as f64 / per_unit;
+        self.summary_premade(name, help, &quantiles, sum, hist.len());
     }
 
     /// A summary family from already-folded quantiles (the serve snapshot
@@ -83,13 +93,13 @@ impl PromWriter {
         &mut self,
         name: &str,
         help: &str,
-        quantiles: &[(f64, u64)],
+        quantiles: &[(f64, f64)],
         sum: f64,
         count: u64,
     ) {
         self.header(name, "summary", help);
         for &(q, v) in quantiles {
-            self.sample(name, &format!("quantile=\"{q}\""), v as f64);
+            self.sample(name, &format!("quantile=\"{q}\""), v);
         }
         self.sample(&format!("{name}_sum"), "", sum);
         self.sample(&format!("{name}_count"), "", count as f64);
@@ -130,7 +140,7 @@ pub fn render_registry() -> String {
             match e.kind {
                 MetricKind::Counter(c) => w.counter(e.name, help, &e.labels, c.get()),
                 MetricKind::Gauge(g) => w.gauge(e.name, help, &e.labels, g.get() as f64),
-                MetricKind::Summary(h) => w.summary(e.name, help, h),
+                MetricKind::Summary(h) => w.summary_seconds(e.name, help, h),
             }
         }
     }
@@ -181,7 +191,18 @@ mod tests {
     fn registry_render_includes_registered_metrics() {
         crate::registry::counter("soar_prom_render_test_total", "a render test counter").add(11);
         crate::registry::counter("soar_prom_render_bare_total", "").inc();
+        crate::registry::summary("soar_prom_render_test_seconds", "a render test summary")
+            .record(2_000_000_000);
         let text = render_registry();
+        assert!(text.contains("# TYPE soar_prom_render_test_seconds summary"));
+        assert!(text.contains("soar_prom_render_test_seconds_count 1\n"));
+        // Recorded in nanoseconds, exposed in seconds (to bucket resolution).
+        let p50 = text
+            .lines()
+            .find_map(|l| l.strip_prefix("soar_prom_render_test_seconds{quantile=\"0.5\"} "))
+            .expect("p50 sample");
+        let p50: f64 = p50.parse().unwrap();
+        assert!((1.5..=2.5).contains(&p50), "{p50}");
         assert!(text.contains("soar_prom_render_test_total 11"));
         assert!(text.contains("# HELP soar_prom_render_test_total a render test counter\n"));
         assert!(text.contains("# HELP soar_prom_render_bare_total soar_prom_render_bare_total\n"));

@@ -163,8 +163,8 @@ pub fn gauge(name: &'static str, help: &'static str) -> &'static Gauge {
 }
 
 /// Registers (or finds) the process-wide latency summary `name` (a
-/// [`LatencyHistogram`] rendered with quantiles at exposition), described by
-/// `help`.
+/// [`LatencyHistogram`] of nanoseconds, rendered in seconds with quantiles at
+/// exposition), described by `help`.
 pub fn summary(name: &'static str, help: &'static str) -> &'static LatencyHistogram {
     let i = find_or_insert(name, help, String::new(), || {
         MetricKind::Summary(Box::leak(Box::new(LatencyHistogram::new())))

@@ -67,7 +67,7 @@ use crate::metrics::{add, MetricsSnapshot, ServeMetrics, TenantBreakdown};
 use crate::protocol::{
     DecodeError, ErrorCode, Request, RequestBody, Response, ResponseBody, ShedScope, SolveOutcome,
 };
-use crate::wal::{self, TenantParams, TenantRecord, WalWriter};
+use crate::wal::{self, SnapshotJob, TenantParams, TenantRecord, WalWriter};
 use crate::warm::{WarmSlot, WarmTables};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -111,7 +111,13 @@ pub struct ServeConfig {
     /// Replay `state_dir`'s snapshot + WAL at startup. Without this flag an
     /// existing state dir is **replaced** by a fresh empty log.
     pub recover: bool,
-    /// WAL records between snapshots (`0` snapshots after every batch).
+    /// WAL records between snapshots: a snapshot is cut at the first batch
+    /// boundary after more than this many records were appended since the
+    /// last cut, so `0` cuts after every batch that logged a record. The cut
+    /// runs on the dispatcher; the write runs on a background thread, and
+    /// at most one is in flight, so a cut that falls due while the previous
+    /// write is still running waits for the next batch boundary
+    /// (`soar_snapshot_deferred_total` counts those waits).
     pub snapshot_every: u64,
     /// Per-connection write deadline: a response write blocked longer than
     /// this drops the connection and counts its lost responses as
@@ -750,6 +756,8 @@ fn is_barrier(work: &Work) -> bool {
 
 fn dispatch_loop(shared: &Arc<Shared>) {
     let pool = soar_pool::global();
+    // The snapshot job in flight, if any (see `maybe_snapshot`).
+    let mut job: Option<JoinHandle<()>> = None;
     loop {
         let mut batch: VecDeque<Work> = {
             let mut queue = shared.queue.lock().unwrap();
@@ -761,6 +769,7 @@ fn dispatch_loop(shared: &Arc<Shared>) {
                     // Drained and draining stopped: leave a final snapshot so
                     // a restart with --recover replays nothing.
                     drop(queue);
+                    join_snapshot_job(shared, &mut job);
                     write_snapshot_now(shared);
                     return;
                 }
@@ -822,27 +831,62 @@ fn dispatch_loop(shared: &Arc<Shared>) {
                 conn.flush(shared);
             }
         }
-        maybe_snapshot(shared);
+        maybe_snapshot(shared, &mut job);
     }
 }
 
-/// Snapshots when enough WAL records accumulated. Dispatcher-only, between
-/// batches.
-fn maybe_snapshot(shared: &Arc<Shared>) {
+/// Starts a snapshot when enough WAL records accumulated. Dispatcher-only,
+/// between batches: the cut runs here, the write on a background thread.
+///
+/// At most one job is in flight: the next cut retires the live segment, so
+/// it must wait until the running job's snapshot covers the segment that
+/// job retired. A cut that falls due meanwhile waits for the next batch
+/// boundary.
+fn maybe_snapshot(shared: &Arc<Shared>, job: &mut Option<JoinHandle<()>>) {
     let Some(wal) = &shared.wal else { return };
-    let due = wal.lock().unwrap().records_since_snapshot() > shared.config.snapshot_every;
-    if due {
-        write_snapshot_now(shared);
+    if wal.lock().unwrap().records_since_snapshot() <= shared.config.snapshot_every {
+        return;
+    }
+    if job.as_ref().is_some_and(|j| !j.is_finished()) {
+        soar_obs::counter!(
+            "soar_snapshot_deferred_total",
+            "batch boundaries at which a due snapshot cut waited for the previous snapshot write"
+        )
+        .inc();
+        return;
+    }
+    join_snapshot_job(shared, job);
+    let Some((cut, records)) = cut_snapshot(shared) else {
+        return;
+    };
+    let writer_shared = Arc::clone(shared);
+    let spawned = std::thread::Builder::new()
+        .name("soar-serve-snapshot".into())
+        .spawn(move || write_snapshot_job(&writer_shared, cut, &records));
+    match spawned {
+        Ok(handle) => *job = Some(handle),
+        // The job was dropped unwritten: its retired segment stays, and the
+        // next cut's snapshot covers it.
+        Err(_) => add(&shared.metrics.wal_errors, 1),
     }
 }
 
-/// Writes a snapshot of every resident tenant and rotates the WAL.
+/// Waits for the snapshot job in flight, if any.
+fn join_snapshot_job(shared: &Shared, job: &mut Option<JoinHandle<()>>) {
+    if job.take().is_some_and(|handle| handle.join().is_err()) {
+        add(&shared.metrics.wal_errors, 1);
+    }
+}
+
+/// The dispatcher half of a snapshot: captures every resident tenant's image
+/// and cuts the WAL at the same index.
 ///
 /// Called only from the dispatcher **between** batches (and at shutdown):
 /// no pool worker holds a tenant lock then, so locking the tenants one at a
 /// time reads a consistent cut of the whole map.
-fn write_snapshot_now(shared: &Arc<Shared>) {
-    let Some(wal) = &shared.wal else { return };
+fn cut_snapshot(shared: &Shared) -> Option<(SnapshotJob, Vec<TenantRecord>)> {
+    let wal = shared.wal.as_ref()?;
+    let started = Instant::now();
     let entries: Vec<(u64, Arc<TenantEntry>)> = {
         let map = shared.tenants.read().unwrap();
         let mut v: Vec<_> = map.iter().map(|(t, e)| (*t, Arc::clone(e))).collect();
@@ -861,9 +905,41 @@ fn write_snapshot_now(shared: &Arc<Shared>) {
             }
         })
         .collect();
-    match wal.lock().unwrap().write_snapshot(&records) {
+    let cut = wal.lock().unwrap().cut();
+    soar_obs::summary!(
+        "soar_snapshot_cut_seconds",
+        "dispatcher time to capture the tenant images and cut the WAL for a snapshot"
+    )
+    .record(started.elapsed().as_nanos() as u64);
+    match cut {
+        Ok(job) => Some((job, records)),
+        Err(_) => {
+            add(&shared.metrics.wal_errors, 1);
+            None
+        }
+    }
+}
+
+/// The I/O half of a snapshot: writes, fsyncs and renames it, then retires
+/// the old WAL segment.
+fn write_snapshot_job(shared: &Shared, job: SnapshotJob, records: &[TenantRecord]) {
+    let started = Instant::now();
+    match job.write(records) {
         Ok(()) => add(&shared.metrics.snapshots, 1),
         Err(_) => add(&shared.metrics.wal_errors, 1),
+    }
+    soar_obs::summary!(
+        "soar_snapshot_write_seconds",
+        "time to write, fsync and rename a snapshot and retire the old WAL segment"
+    )
+    .record(started.elapsed().as_nanos() as u64);
+}
+
+/// Writes a snapshot of every resident tenant and rotates the WAL, inline
+/// (the final snapshot at shutdown).
+fn write_snapshot_now(shared: &Shared) {
+    if let Some((job, records)) = cut_snapshot(shared) {
+        write_snapshot_job(shared, job, &records);
     }
 }
 

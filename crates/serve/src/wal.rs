@@ -13,22 +13,50 @@
 //!
 //! # On-disk layout
 //!
-//! Two files in the state dir, both sequences of CRC-checked records
-//! ([`soar_dataplane::framing::write_record`]):
+//! A snapshot and up to two WAL segments in the state dir, each a sequence
+//! of CRC-checked records ([`soar_dataplane::framing::write_record`]):
 //!
 //! ```text
 //! snapshot.soar   header { version, wal_next }
 //!                 one record per tenant: params + last_seq + InstanceImage
-//! wal.soar        header { version, first_index }
+//! wal.prev.soar   the retired segment, while a snapshot job is in flight
+//! wal.soar        the live segment
+//!                 header { version, first_index }
 //!                 data records: Register | Evict | Churn{tenant, seq, events}
 //! ```
 //!
 //! Every WAL data record has a monotonically increasing **global index**
-//! (persisted across rotations via the header's `first_index`). A snapshot
-//! stores `wal_next` — the index of the first record it does *not* cover —
-//! and the WAL is rewritten fresh right after a snapshot lands. Both writes
-//! are tmp-file + atomic rename, so a crash between the two renames merely
-//! leaves a WAL whose covered prefix the next recovery skips by index.
+//! (persisted across rotations via each segment's `first_index`). A
+//! snapshot stores `wal_next` — the index of the first record it does *not*
+//! cover. [`recover`] reads the snapshot, then `wal.prev.soar`, then
+//! `wal.soar`, skips every record below the index it expects next, and
+//! stops at a segment that starts past it (a gap).
+//!
+//! # Rotation
+//!
+//! A snapshot has two halves. [`WalWriter::cut`] runs on the dispatcher,
+//! between batches, while the caller captures the tenant images: it renames
+//! `wal.soar` to `wal.prev.soar` and opens a fresh `wal.soar` at the cut
+//! index (tmp file + rename). The returned [`SnapshotJob`] does the I/O off
+//! the dispatcher: it fsyncs the fresh segment's header, writes
+//! `snapshot.tmp`, fsyncs it, renames it to `snapshot.soar`, and only then
+//! deletes `wal.prev.soar`. The invariant: **a segment is deleted or
+//! overwritten only after a durable snapshot covers every record in it.**
+//! So at most one job runs at a time, and a cut that finds `wal.prev.soar`
+//! still present (its job failed) does not rotate.
+//!
+//! A crash at any step recovers every flushed record:
+//!
+//! | crash after                         | recovery reads                     |
+//! |-------------------------------------|------------------------------------|
+//! | `wal.soar` → `wal.prev.soar`        | old snapshot + prev                |
+//! | fresh `wal.soar`, more appends      | old snapshot + prev + wal          |
+//! | `snapshot.tmp` written, not renamed | old snapshot + prev + wal (tmp ignored) |
+//! | snapshot rename, prev not deleted   | new snapshot + wal (prev skipped by index) |
+//! | prev deleted                        | new snapshot + wal                 |
+//!
+//! [`WalWriter::begin`] makes its snapshot durable before it deletes a
+//! stale `wal.prev.soar` or replaces `wal.soar`.
 //!
 //! # Torn tails and corruption
 //!
@@ -44,7 +72,7 @@ use crate::server::build_tenant;
 use soar_dataplane::framing::{read_record, write_record, RecordError};
 use soar_multitenant::churn::ChurnEvent;
 use soar_online::{DynamicInstance, InstanceImage};
-use std::fs::{self, File, OpenOptions};
+use std::fs::{self, File};
 use std::io::{self, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
@@ -53,7 +81,10 @@ use std::path::{Path, PathBuf};
 pub const MAX_RECORD_LEN: usize = 256 << 20;
 
 const WAL_FILE: &str = "wal.soar";
+const PREV_FILE: &str = "wal.prev.soar";
+const WAL_TMP: &str = "wal.tmp";
 const SNAPSHOT_FILE: &str = "snapshot.soar";
+const SNAPSHOT_TMP: &str = "snapshot.tmp";
 const VERSION: u32 = 1;
 
 /// Record tags inside the WAL / snapshot files.
@@ -366,10 +397,11 @@ fn decode_wal_record(buf: &[u8]) -> Result<WalRecord, WalError> {
 #[derive(Debug)]
 pub struct WalWriter {
     dir: PathBuf,
+    /// The live segment, `wal.soar`.
     file: BufWriter<File>,
     /// Global index of the next data record to append.
     next_index: u64,
-    /// Data records appended since the last snapshot.
+    /// Data records appended since the last cut.
     records_since_snapshot: u64,
     /// Scratch buffer for record payloads.
     scratch: Vec<u8>,
@@ -379,25 +411,35 @@ impl WalWriter {
     /// Starts durable logging in `dir`: writes a snapshot of `tenants` (the
     /// recovered set, or empty on a fresh start) and opens a fresh WAL.
     /// Replaces whatever state files were there.
+    ///
+    /// The snapshot is durable before either segment is touched: a stale
+    /// `wal.prev.soar` (a crash mid-rotation) may hold the only copy of
+    /// records that `tenants` include.
     pub fn begin(
         dir: &Path,
         next_index: u64,
         tenants: &[TenantRecord],
     ) -> Result<WalWriter, WalError> {
         fs::create_dir_all(dir)?;
-        let mut writer = WalWriter {
+        let mut scratch = Vec::new();
+        write_snapshot_file(dir, next_index, tenants, &mut scratch)?;
+        match fs::remove_file(dir.join(PREV_FILE)) {
+            Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e.into()),
+            _ => {}
+        }
+        let file = new_segment(dir, next_index, &mut scratch)?;
+        file.get_ref().sync_all()?;
+        fs::rename(dir.join(WAL_TMP), dir.join(WAL_FILE))?;
+        Ok(WalWriter {
             dir: dir.to_path_buf(),
-            // Placeholder; `rotate` below installs the real file.
-            file: BufWriter::new(tempfile(dir)?),
+            file,
             next_index,
             records_since_snapshot: 0,
-            scratch: Vec::new(),
-        };
-        writer.write_snapshot(tenants)?;
-        Ok(writer)
+            scratch,
+        })
     }
 
-    /// Data records appended since the last snapshot — the caller's snapshot
+    /// Data records appended since the last cut — the caller's snapshot
     /// cadence trigger.
     pub fn records_since_snapshot(&self) -> u64 {
         self.records_since_snapshot
@@ -441,49 +483,118 @@ impl WalWriter {
         self.append()
     }
 
-    /// Writes a snapshot of the full tenant set and rotates the WAL. The
-    /// caller must pass a consistent cut (no concurrent appliers).
-    pub fn write_snapshot(&mut self, tenants: &[TenantRecord]) -> Result<(), WalError> {
-        // 1. Snapshot to tmp, fsync, atomic rename.
-        let snap_tmp = self.dir.join("snapshot.tmp");
-        {
-            let mut out = BufWriter::new(File::create(&snap_tmp)?);
-            self.scratch.clear();
-            encode_snap_header(&mut self.scratch, self.next_index);
-            write_record(&mut out, &self.scratch)?;
-            for rec in tenants {
-                self.scratch.clear();
-                encode_tenant_record(&mut self.scratch, rec);
-                write_record(&mut out, &self.scratch)?;
+    /// Cuts the log for a snapshot at the current index and returns the job
+    /// that writes it. The caller must capture the tenant images at the same
+    /// point (no concurrent appliers) and hand them to
+    /// [`SnapshotJob::write`].
+    ///
+    /// The cut retires the live segment to `wal.prev.soar` and opens a fresh
+    /// `wal.soar` at the cut index (tmp file, header, flush, rename; its
+    /// fsync is left to the job). When `wal.prev.soar` still exists — the
+    /// previous job failed — the cut does not rotate: that segment is the
+    /// only copy of records no durable snapshot covers, so appends stay in
+    /// the live segment and the job retires the old one once its own
+    /// snapshot covers both.
+    pub fn cut(&mut self) -> Result<SnapshotJob, WalError> {
+        let wal = self.dir.join(WAL_FILE);
+        let prev = self.dir.join(PREV_FILE);
+        let mut job = SnapshotJob {
+            dir: self.dir.clone(),
+            wal_next: self.next_index,
+            segment: None,
+            // A failed rollback below leaves the live segment at `prev` and
+            // no `wal.soar`; then `prev` must never be deleted.
+            retire: wal.exists(),
+        };
+        if !prev.exists() {
+            let fresh = new_segment(&self.dir, self.next_index, &mut self.scratch)?;
+            let handle = fresh.get_ref().try_clone()?;
+            fs::rename(&wal, &prev)?;
+            if let Err(e) = fs::rename(self.dir.join(WAL_TMP), &wal) {
+                let _ = fs::rename(&prev, &wal);
+                return Err(e.into());
             }
-            out.flush()?;
-            out.get_ref().sync_all()?;
+            self.file = fresh;
+            job.segment = Some(handle);
         }
-        fs::rename(&snap_tmp, self.dir.join(SNAPSHOT_FILE))?;
-
-        // 2. Fresh WAL to tmp, fsync, atomic rename, swap the open handle.
-        //    A crash between the renames leaves the old WAL; its records are
-        //    all `< wal_next`, so recovery skips them by index.
-        let wal_tmp = self.dir.join("wal.tmp");
-        let mut out = BufWriter::new(File::create(&wal_tmp)?);
-        self.scratch.clear();
-        encode_wal_header(&mut self.scratch, self.next_index);
-        write_record(&mut out, &self.scratch)?;
-        out.flush()?;
-        out.get_ref().sync_all()?;
-        fs::rename(&wal_tmp, self.dir.join(WAL_FILE))?;
-        self.file = out;
         self.records_since_snapshot = 0;
+        Ok(job)
+    }
+
+    /// Writes a snapshot of the full tenant set and rotates the WAL, inline:
+    /// [`Self::cut`] then [`SnapshotJob::write`]. The caller must pass a
+    /// consistent cut (no concurrent appliers).
+    pub fn write_snapshot(&mut self, tenants: &[TenantRecord]) -> Result<(), WalError> {
+        self.cut()?.write(tenants)
+    }
+}
+
+/// The I/O half of a snapshot, cut by [`WalWriter::cut`]; it may run on any
+/// thread while appends continue into the fresh segment.
+#[derive(Debug)]
+pub struct SnapshotJob {
+    dir: PathBuf,
+    /// Index of the first record the snapshot does not cover.
+    wal_next: u64,
+    /// The fresh live segment, whose header this job makes durable (`None`
+    /// when the cut did not rotate).
+    segment: Option<File>,
+    /// Delete `wal.prev.soar` once the snapshot is durable.
+    retire: bool,
+}
+
+impl SnapshotJob {
+    /// Makes the fresh segment's header durable, writes `tenants` (the images
+    /// captured at the cut) to `snapshot.tmp`, fsyncs and renames it to
+    /// `snapshot.soar`, and only then deletes `wal.prev.soar`. On an error
+    /// the retired segment stays, so no record is lost.
+    pub fn write(self, tenants: &[TenantRecord]) -> Result<(), WalError> {
+        if let Some(segment) = &self.segment {
+            segment.sync_all()?;
+        }
+        write_snapshot_file(&self.dir, self.wal_next, tenants, &mut Vec::new())?;
+        if self.retire {
+            fs::remove_file(self.dir.join(PREV_FILE))?;
+        }
         Ok(())
     }
 }
 
-fn tempfile(dir: &Path) -> io::Result<File> {
-    OpenOptions::new()
-        .create(true)
-        .write(true)
-        .truncate(true)
-        .open(dir.join("wal.tmp"))
+/// Writes `snapshot.tmp`, fsyncs it and renames it to `snapshot.soar`.
+fn write_snapshot_file(
+    dir: &Path,
+    wal_next: u64,
+    tenants: &[TenantRecord],
+    scratch: &mut Vec<u8>,
+) -> Result<(), WalError> {
+    let tmp = dir.join(SNAPSHOT_TMP);
+    let mut out = BufWriter::new(File::create(&tmp)?);
+    scratch.clear();
+    encode_snap_header(scratch, wal_next);
+    write_record(&mut out, scratch)?;
+    for rec in tenants {
+        scratch.clear();
+        encode_tenant_record(scratch, rec);
+        write_record(&mut out, scratch)?;
+    }
+    out.flush()?;
+    out.get_ref().sync_all()?;
+    fs::rename(&tmp, dir.join(SNAPSHOT_FILE))?;
+    Ok(())
+}
+
+/// Creates `wal.tmp` holding a flushed segment header at `first_index`.
+fn new_segment(
+    dir: &Path,
+    first_index: u64,
+    scratch: &mut Vec<u8>,
+) -> Result<BufWriter<File>, WalError> {
+    let mut out = BufWriter::new(File::create(dir.join(WAL_TMP))?);
+    scratch.clear();
+    encode_wal_header(scratch, first_index);
+    write_record(&mut out, scratch)?;
+    out.flush()?;
+    Ok(out)
 }
 
 // ---------------------------------------------------------------------------
@@ -502,114 +613,33 @@ pub struct Recovery {
     pub stats: RecoveryStats,
 }
 
-/// Rebuilds the tenant set from `dir`'s snapshot + WAL.
+type ReplayState = std::collections::BTreeMap<u64, RecoveredTenant>;
+
+/// Rebuilds the tenant set from `dir`'s snapshot, then `wal.prev.soar`, then
+/// `wal.soar`, stitched by global index.
 ///
-/// Stops at the first bad record of either file — torn tail, CRC mismatch,
-/// zero-length record, undecodable payload, a churn record whose sequence
-/// number is at or below the tenant's replayed high-water mark, or a churn
-/// record for a tenant that does not exist at that point of the log — keeps
-/// everything before it, and flags [`RecoveryStats::truncated`]. Missing
-/// files mean a fresh start, not an error.
+/// Stops at the first bad record — torn tail, CRC mismatch, zero-length
+/// record, undecodable payload, a churn record whose sequence number is at
+/// or below the tenant's replayed high-water mark, or a churn record for a
+/// tenant that does not exist at that point of the log — keeps everything
+/// before it, and flags [`RecoveryStats::truncated`]. A segment whose header
+/// starts past the next index replay expects (records are missing) stops
+/// replay the same way. Missing files mean a fresh start, not an error.
 pub fn recover(dir: &Path) -> Result<Recovery, WalError> {
-    use std::collections::BTreeMap;
-    let mut tenants: BTreeMap<u64, RecoveredTenant> = BTreeMap::new();
+    let mut tenants = ReplayState::new();
     let mut stats = RecoveryStats::default();
-    let mut wal_next = 0u64;
-
-    // ---- snapshot ----
-    let snap_path = dir.join(SNAPSHOT_FILE);
-    if snap_path.exists() {
-        let mut r = BufReader::new(File::open(&snap_path)?);
-        let mut buf = Vec::new();
-        match read_record(&mut r, &mut buf, MAX_RECORD_LEN) {
-            Ok(true) => {
-                wal_next = decode_header(&buf, TAG_SNAP_HEADER)?;
-                loop {
-                    match read_record(&mut r, &mut buf, MAX_RECORD_LEN) {
-                        Ok(false) => break,
-                        Ok(true) => match decode_tenant_record(&buf) {
-                            Ok(rec) => {
-                                let mut instance = build_tenant(
-                                    rec.params.switches,
-                                    rec.params.budget,
-                                    rec.params.seed,
-                                );
-                                instance.restore_image(&rec.image);
-                                stats.snapshot_tenants += 1;
-                                tenants.insert(
-                                    rec.tenant,
-                                    RecoveredTenant {
-                                        tenant: rec.tenant,
-                                        params: rec.params,
-                                        last_seq: rec.last_seq,
-                                        instance,
-                                    },
-                                );
-                            }
-                            Err(_) => {
-                                stats.truncated = true;
-                                break;
-                            }
-                        },
-                        Err(_) => {
-                            stats.truncated = true;
-                            break;
-                        }
-                    }
-                }
-            }
-            Ok(false) => {}
-            Err(_) => stats.truncated = true,
+    let mut next_index = read_snapshot(&dir.join(SNAPSHOT_FILE), &mut tenants, &mut stats)?;
+    for segment in [PREV_FILE, WAL_FILE] {
+        let intact = replay_segment(
+            &dir.join(segment),
+            &mut tenants,
+            &mut stats,
+            &mut next_index,
+        )?;
+        if !intact {
+            break;
         }
     }
-
-    // ---- WAL ----
-    let mut next_index = wal_next;
-    let wal_path = dir.join(WAL_FILE);
-    if wal_path.exists() {
-        let mut r = BufReader::new(File::open(&wal_path)?);
-        let mut buf = Vec::new();
-        match read_record(&mut r, &mut buf, MAX_RECORD_LEN) {
-            Ok(true) => {
-                let first_index = decode_header(&buf, TAG_WAL_HEADER)?;
-                let mut index = first_index;
-                loop {
-                    match read_record(&mut r, &mut buf, MAX_RECORD_LEN) {
-                        Ok(false) => break,
-                        Ok(true) => {
-                            let covered = index < wal_next;
-                            index += 1;
-                            if covered {
-                                stats.skipped_records += 1;
-                                continue;
-                            }
-                            match decode_wal_record(&buf) {
-                                Ok(rec) => {
-                                    if !replay(&mut tenants, rec) {
-                                        stats.truncated = true;
-                                        break;
-                                    }
-                                    stats.replayed_records += 1;
-                                    next_index = index;
-                                }
-                                Err(_) => {
-                                    stats.truncated = true;
-                                    break;
-                                }
-                            }
-                        }
-                        Err(_) => {
-                            stats.truncated = true;
-                            break;
-                        }
-                    }
-                }
-            }
-            Ok(false) => {}
-            Err(_) => stats.truncated = true,
-        }
-    }
-
     Ok(Recovery {
         tenants: tenants.into_values().collect(),
         next_index,
@@ -617,9 +647,105 @@ pub fn recover(dir: &Path) -> Result<Recovery, WalError> {
     })
 }
 
+/// Restores the snapshot's tenants; returns its `wal_next` (0 without one).
+fn read_snapshot(
+    path: &Path,
+    tenants: &mut ReplayState,
+    stats: &mut RecoveryStats,
+) -> Result<u64, WalError> {
+    if !path.exists() {
+        return Ok(0);
+    }
+    let mut r = BufReader::new(File::open(path)?);
+    let mut buf = Vec::new();
+    let wal_next = match read_record(&mut r, &mut buf, MAX_RECORD_LEN) {
+        Ok(true) => decode_header(&buf, TAG_SNAP_HEADER)?,
+        Ok(false) => return Ok(0),
+        Err(_) => {
+            stats.truncated = true;
+            return Ok(0);
+        }
+    };
+    loop {
+        let rec = match read_record(&mut r, &mut buf, MAX_RECORD_LEN) {
+            Ok(false) => break,
+            Ok(true) => decode_tenant_record(&buf),
+            Err(e) => Err(e.into()),
+        };
+        let Ok(rec) = rec else {
+            stats.truncated = true;
+            break;
+        };
+        let mut instance = build_tenant(rec.params.switches, rec.params.budget, rec.params.seed);
+        instance.restore_image(&rec.image);
+        stats.snapshot_tenants += 1;
+        tenants.insert(
+            rec.tenant,
+            RecoveredTenant {
+                tenant: rec.tenant,
+                params: rec.params,
+                last_seq: rec.last_seq,
+                instance,
+            },
+        );
+    }
+    Ok(wal_next)
+}
+
+/// Replays the records of one WAL segment at or past `next_index`, advancing
+/// it. Returns `false` when replay must stop here (a bad record or a gap
+/// before the segment's first index).
+fn replay_segment(
+    path: &Path,
+    tenants: &mut ReplayState,
+    stats: &mut RecoveryStats,
+    next_index: &mut u64,
+) -> Result<bool, WalError> {
+    if !path.exists() {
+        return Ok(true);
+    }
+    let mut r = BufReader::new(File::open(path)?);
+    let mut buf = Vec::new();
+    let mut index = match read_record(&mut r, &mut buf, MAX_RECORD_LEN) {
+        Ok(true) => decode_header(&buf, TAG_WAL_HEADER)?,
+        Ok(false) => return Ok(true),
+        Err(_) => {
+            stats.truncated = true;
+            return Ok(false);
+        }
+    };
+    if index > *next_index {
+        stats.truncated = true;
+        return Ok(false);
+    }
+    loop {
+        match read_record(&mut r, &mut buf, MAX_RECORD_LEN) {
+            Ok(false) => return Ok(true),
+            Ok(true) => {
+                let covered = index < *next_index;
+                index += 1;
+                if covered {
+                    stats.skipped_records += 1;
+                    continue;
+                }
+                if !decode_wal_record(&buf).is_ok_and(|rec| replay(tenants, rec)) {
+                    stats.truncated = true;
+                    return Ok(false);
+                }
+                stats.replayed_records += 1;
+                *next_index = index;
+            }
+            Err(_) => {
+                stats.truncated = true;
+                return Ok(false);
+            }
+        }
+    }
+}
+
 /// Applies one WAL record to the replay state. Returns `false` when the
 /// record is inconsistent with the log so far (recovery stops there).
-fn replay(tenants: &mut std::collections::BTreeMap<u64, RecoveredTenant>, rec: WalRecord) -> bool {
+fn replay(tenants: &mut ReplayState, rec: WalRecord) -> bool {
     match rec {
         WalRecord::Register { tenant, params } => {
             if tenants.contains_key(&tenant) {

@@ -1324,7 +1324,8 @@ metrics snapshot JSON to --metrics-out, and exits 0.
 
 --state-dir makes tenant state crash-safe: every accepted register/evict/churn
 batch is appended to a CRC-checked write-ahead log before it is applied, with
-a tenant snapshot every --snapshot-every records. --recover replays
+a tenant snapshot every --snapshot-every records, written off the dispatcher
+by a background thread. --recover replays
 snapshot+WAL from that directory on startup (post-recovery solves are
 bit-identical to an uninterrupted run); without it an existing state dir is
 replaced by a fresh empty log. --write-deadline-ms bounds how long one slow
