@@ -2,7 +2,7 @@
 //! `soar experiment run <name>` runs them, with the qualitative claims of each
 //! figure checked on the resulting charts.
 
-use soar_exp::{registry, Chart, ExperimentSpec, RunArtifact, Scale, Series};
+use soar_exp::{registry, Chart, ExperimentKind, ExperimentSpec, RunArtifact, Scale, Series};
 
 fn spec(name: &str) -> ExperimentSpec {
     registry::by_name(name, Scale::Quick)
@@ -79,7 +79,18 @@ fn fig6_soar_dominates_everywhere() {
 
 #[test]
 fn fig8_produces_three_charts_with_all_use_cases() {
-    let charts = run_once("fig8").charts;
+    // Fig. 8's quick spec on BT(32) at three budgets: at BT(128) its
+    // word-count byte reports (5,000 Zipf draws per worker into a hash map,
+    // three colorings per point) take most of an unoptimized test build's
+    // time, and no assertion below depends on the tree size.
+    let mut fig8 = spec("fig8");
+    fig8.repetitions = 1;
+    let ExperimentKind::UseCaseBytes { n, budgets, .. } = &mut fig8.kind else {
+        panic!("fig8 is a UseCaseBytes spec");
+    };
+    *n = 32;
+    *budgets = vec![1, 4, 16];
+    let charts = fig8.run().charts;
     assert_eq!(charts.len(), 3);
     for chart in &charts {
         assert_eq!(chart.series.len(), 4, "{}", chart.title);

@@ -46,7 +46,7 @@ use soar_exp::spec::ExperimentKind;
 use soar_exp::{Chart, ExperimentSpec, RunArtifact, Series};
 use soar_multitenant::churn::{ChurnEvent, ChurnModel, ChurnStream};
 use soar_obs::hist::LatencyHistogram;
-use soar_serve::metrics::{LatencySummary, MetricsSnapshot};
+use soar_serve::metrics::{LatencySummary, MetricsSnapshot, METRICS};
 use soar_serve::protocol::{ErrorCode, Request, RequestBody, ResponseBody};
 use soar_serve::server::{Client, ClientError};
 use soar_topology::builders;
@@ -243,7 +243,7 @@ pub struct LoadtestReport {
     pub solve_latency: LatencySummary,
     /// The server's own metrics snapshot, fetched at the end of the run.
     pub server: MetricsSnapshot,
-    /// Counters cross-checked against the Prometheus scrape (`Some` exactly
+    /// Counters and gauges cross-checked against the Prometheus scrape (`Some` exactly
     /// when [`LoadtestConfig::obs_addr`] was set; the run fails on drift).
     pub obs_counters_checked: Option<usize>,
     /// Resilient-driver accounting — `Some` exactly when the run used the
@@ -374,7 +374,7 @@ impl LoadtestReport {
         ));
         if let Some(n) = self.obs_counters_checked {
             out.push_str(&format!(
-                "obs scrape: {n} counters verified against the binary snapshot\n"
+                "obs scrape: {n} counters and gauges verified against the binary snapshot\n"
             ));
         }
         out
@@ -629,11 +629,19 @@ pub fn run(config: &LoadtestConfig) -> Result<LoadtestReport, LoadtestError> {
     })
 }
 
+/// The snapshot fields the control connection itself moves between the
+/// binary `Metrics` answer and the scrape.
+const CONTROL_PERTURBED: [&str; 4] = [
+    "accepted_conns",
+    "requests",
+    "responses",
+    "response_flushes",
+];
+
 /// Scrapes `/metrics` off the daemon's obs endpoint and cross-checks every
-/// quiesced workload counter against the binary snapshot. Counters the
-/// control connection itself perturbs (`requests`, `responses`,
-/// `accepted_conns`) are deliberately excluded. Returns how many counters
-/// were verified.
+/// counter and gauge of the daemon's metrics table against the binary
+/// snapshot, except the [`CONTROL_PERTURBED`] ones. Returns how many were
+/// verified.
 fn scrape_and_check(addr: &SocketAddr, server: &MetricsSnapshot) -> Result<usize, LoadtestError> {
     use std::io::{Read, Write};
     let fail = |m: String| LoadtestError::Protocol(m);
@@ -660,18 +668,15 @@ fn scrape_and_check(addr: &SocketAddr, server: &MetricsSnapshot) -> Result<usize
             v.parse::<f64>().ok().map(|f| f as u64)
         })
     };
-    let expected = [
-        ("soar_serve_events_applied_total", server.events_applied),
-        ("soar_serve_solves_total", server.solves),
-        ("soar_serve_sweeps_total", server.sweeps),
-        ("soar_serve_registers_total", server.registers),
-        ("soar_serve_evictions_total", server.evictions),
-        ("soar_serve_shed_global_total", server.shed_global),
-        ("soar_serve_shed_tenant_total", server.shed_tenant),
-        ("soar_serve_wal_records_total", server.wal_records),
-        ("soar_serve_duplicate_churns_total", server.duplicate_churns),
-    ];
-    for (name, want) in expected {
+    let mut checked = 0;
+    for d in METRICS {
+        if CONTROL_PERTURBED.contains(&d.field) {
+            continue;
+        }
+        let Some(want) = d.value(server) else {
+            continue;
+        };
+        let name = d.family;
         match sample(name) {
             None => return Err(fail(format!("obs scrape: exposition is missing {name}"))),
             Some(got) if got != want => {
@@ -680,10 +685,10 @@ fn scrape_and_check(addr: &SocketAddr, server: &MetricsSnapshot) -> Result<usize
                      the two exposition paths drifted"
                 )))
             }
-            Some(_) => {}
+            Some(_) => checked += 1,
         }
     }
-    Ok(expected.len())
+    Ok(checked)
 }
 
 /// Connects with the resilient backoff schedule — rides out a server that is
@@ -741,8 +746,14 @@ fn drive_connection(
                 seed: config.seed.wrapping_add(tenant),
             },
         })?;
+        // A tenant the daemon already holds (from an earlier run) is as good
+        // as registered, as in `Link::register`.
         match resp.body {
-            ResponseBody::Registered { .. } => {}
+            ResponseBody::Registered { .. }
+            | ResponseBody::Error {
+                code: ErrorCode::DuplicateTenant,
+                ..
+            } => {}
             other => {
                 return Err(LoadtestError::Protocol(format!(
                     "register of tenant {tenant} answered {other:?}"

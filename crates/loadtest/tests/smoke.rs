@@ -1,7 +1,7 @@
 //! End-to-end smoke: an in-process server driven by a small closed-loop
-//! loadtest run, a deliberately tiny-queue overload run that must shed
-//! instead of buffer, and a chaos run whose delivery accounting must balance
-//! exactly.
+//! loadtest run, a second run against a daemon that already holds its
+//! tenants, a deliberately tiny-queue overload run that must shed instead of
+//! buffer, and a chaos run whose delivery accounting must balance exactly.
 
 use soar_loadtest::{artifact, chaos_artifact, run, ChaosConfig, LoadtestConfig};
 use soar_serve::server::{start, ServeConfig};
@@ -53,6 +53,33 @@ fn closed_loop_run_applies_events_cleanly() {
         assert_eq!(series.points[0].1, 0.0, "{}", series.label);
     }
     assert!(art.charts[1].series[0].points[0].1.is_finite());
+}
+
+#[test]
+fn a_second_run_shuts_down_a_daemon_that_already_holds_its_tenants() {
+    let handle = start(ServeConfig::default()).unwrap();
+    let config = LoadtestConfig {
+        addr: handle.addr(),
+        tenants: 4,
+        switches: 64,
+        budget: 4,
+        connections: 2,
+        events_per_batch: 10,
+        batches: 8,
+        solve_every: 4,
+        ..LoadtestConfig::default()
+    };
+    run(&config).unwrap();
+    // The same tenants again: each `Register` is answered `DuplicateTenant`,
+    // which counts as registered, so the run reaches its `Shutdown`.
+    let again = LoadtestConfig {
+        shutdown: true,
+        ..config
+    };
+    let report = run(&again).unwrap();
+    assert_eq!(report.batches_sent, 8);
+    let snap = handle.join();
+    assert_eq!((snap.registers, snap.resident_tenants), (4, 4));
 }
 
 #[test]

@@ -308,9 +308,9 @@ const TOP_TENANTS: usize = 8;
 
 impl Shared {
     fn snapshot(&self) -> MetricsSnapshot {
-        let depth = self.queue.lock().unwrap().len();
+        let depth = self.queue.lock().unwrap().len() as u64;
         let map = self.tenants.read().unwrap();
-        let resident = map.len();
+        let resident = map.len() as u64;
         // Top-N tenants by solver time, then by churn volume: the per-tenant
         // cells are relaxed atomics on the entries, so this is a read-only
         // sweep of the map — no tenant lock is touched.
@@ -1872,6 +1872,31 @@ mod tests {
         handle.join();
     }
 
+    /// GETs `/metrics` off a daemon's obs endpoint and returns the body.
+    fn scrape(obs_addr: SocketAddr) -> String {
+        let mut sock = TcpStream::connect(obs_addr).unwrap();
+        sock.write_all(b"GET /metrics HTTP/1.0\r\n\r\n").unwrap();
+        let mut text = String::new();
+        std::io::Read::read_to_string(&mut sock, &mut text).unwrap();
+        assert!(text.starts_with("HTTP/1.0 200 OK"), "{text}");
+        text.split_once("\r\n\r\n").unwrap().1.to_owned()
+    }
+
+    /// Asserts that every counter and gauge of the metrics table appears in
+    /// the scrape exactly once, at its value in `snap`.
+    fn assert_scrape_matches(body: &str, snap: &MetricsSnapshot) {
+        for d in crate::metrics::METRICS {
+            let Some(want) = d.value(snap) else {
+                continue;
+            };
+            let samples: Vec<&str> = body
+                .lines()
+                .filter_map(|line| line.strip_prefix(d.family)?.strip_prefix(' '))
+                .collect();
+            assert_eq!(samples, [want.to_string()], "{}", d.family);
+        }
+    }
+
     #[test]
     fn obs_endpoint_serves_prometheus_consistent_with_binary_metrics() {
         let config = ServeConfig {
@@ -1898,27 +1923,14 @@ mod tests {
                 .unwrap();
         }
 
-        // Scrape /metrics over plain HTTP.
-        let mut sock = TcpStream::connect(obs_addr).unwrap();
-        sock.write_all(b"GET /metrics HTTP/1.0\r\n\r\n").unwrap();
-        let mut text = String::new();
-        std::io::Read::read_to_string(&mut sock, &mut text).unwrap();
-        assert!(text.starts_with("HTTP/1.0 200 OK"), "{text}");
-        let body = text.split("\r\n\r\n").nth(1).unwrap();
-
         // The scrape agrees with the binary Metrics response on every counter
-        // both report (the quiesced daemon has no in-flight work to race on).
+        // and gauge (the quiesced daemon has no in-flight work to race on).
+        let body = scrape(obs_addr);
         let snap = handle.snapshot();
-        assert!(body.contains(&format!("soar_serve_solves_total {}\n", snap.solves)));
-        assert!(body.contains(&format!("soar_serve_requests_total {}\n", snap.requests)));
-        assert!(body.contains(&format!("soar_serve_responses_total {}\n", snap.responses)));
-        assert!(body.contains(&format!(
-            "soar_serve_response_flushes_total {}\n",
-            snap.response_flushes
-        )));
+        assert_scrape_matches(&body, &snap);
         // Four calls, four answers, each alone in its dispatch run.
         assert_eq!((snap.responses, snap.response_flushes), (4, 4));
-        assert!(body.contains("soar_serve_resident_tenants 1\n"));
+        assert_eq!(snap.resident_tenants, 1);
         assert!(body.contains("soar_serve_tenant_solve_ns_total{tenant=\"4\"}"));
         assert!(body.contains("# TYPE soar_serve_queue_wait_ns summary"));
         // The global registry (pool/solver counters) rides along.
@@ -1936,6 +1948,53 @@ mod tests {
 
         handle.shutdown();
         handle.join();
+    }
+
+    #[test]
+    fn a_durable_daemon_exposes_every_snapshot_metric() {
+        let dir = std::env::temp_dir().join(format!("soar-serve-{}-obs", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let handle = start(ServeConfig {
+            state_dir: Some(dir.clone()),
+            obs_addr: Some("127.0.0.1:0".to_owned()),
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let mut client = Client::connect(&handle.addr()).unwrap();
+        let register = RequestBody::Register {
+            tenant: 4,
+            switches: 64,
+            budget: 4,
+            seed: 1,
+        };
+        let churn = RequestBody::Churn {
+            tenant: 4,
+            seq: 1,
+            events: vec![ChurnEvent::LeafRateChange { leaf: 62, load: 9 }],
+        };
+        for (i, body) in [register, churn, RequestBody::Solve { tenant: 4 }]
+            .into_iter()
+            .enumerate()
+        {
+            let resp = client.call(&request(i as u64, body)).unwrap();
+            assert!(!matches!(resp.body, ResponseBody::Error { .. }), "{resp:?}");
+        }
+
+        let body = scrape(handle.obs_addr().unwrap());
+        let snap = handle.snapshot();
+        // The startup snapshot, and a WAL record for the register and the
+        // churn batch: durable-state metrics reach `/metrics` too.
+        assert!(snap.snapshots >= 1, "{snap:?}");
+        assert_eq!(snap.wal_records, 2);
+        assert!(body.contains(&format!(
+            "\nsoar_serve_snapshots_total {}\n",
+            snap.snapshots
+        )));
+        assert_scrape_matches(&body, &snap);
+
+        handle.shutdown();
+        handle.join();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
