@@ -49,10 +49,10 @@
 //! }
 //! ```
 
+use crate::brute_force;
 use crate::solver::{self, Solution};
 use crate::strategies::Strategy;
 use crate::workspace::{with_thread_workspace, SolverWorkspace};
-use crate::{brute_force, tables::GatherTables};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use soar_reduce::{cost, Coloring};
@@ -256,14 +256,6 @@ impl Instance {
     pub fn with_budget(&self, budget: usize) -> Self {
         Instance {
             budget,
-            ..self.clone()
-        }
-    }
-
-    /// A copy of this instance with a different label.
-    pub fn with_label(&self, label: impl Into<String>) -> Self {
-        Instance {
-            label: label.into(),
             ..self.clone()
         }
     }
@@ -490,21 +482,6 @@ pub struct DpStats {
 }
 
 impl DpStats {
-    /// Captures the statistics of a bare gather pass (no workspace: the
-    /// allocation counters are not tracked and read 0).
-    pub fn from_tables(tables: &GatherTables) -> Self {
-        DpStats {
-            n_switches: tables.n_switches(),
-            budget: tables.k,
-            table_cells: tables.table_cells(),
-            table_bytes: tables.memory_bytes(),
-            arena_peak_bytes: tables.memory_bytes(),
-            alloc_events: 0,
-            cells_written: tables.table_cells(),
-            pruned_splits: 0,
-        }
-    }
-
     /// Captures the statistics of the most recent gather of a workspace.
     pub fn from_workspace(workspace: &SolverWorkspace) -> Self {
         let tables = workspace.tables();

@@ -3,23 +3,25 @@
 //!
 //! The destination hands the root the budget and the distance `ℓ = 1`; every switch
 //! then (i) decides its own color by comparing the two conditioned potentials
-//! `Y_v(ℓ*, i, B)` and `Y_v(ℓ*, i, R)` recorded during the gather phase, and (ii) tells
+//! `Y_v(ℓ*, i, B)` and `Y_v(ℓ*, i, R)` of the gather phase — read from the
+//! stored tables as `X_v(ℓ*, i) < Y_v(ℓ*, i, R)`, or `ρ(ℓ*) ≤ Y_v(ℓ*, i, R)` at a
+//! leaf, since `Y_B` itself is not stored (see [`crate::tables`]) — and (ii) tells
 //! each child how many blue nodes to place in its subtree (replaying the recorded
 //! `mSplit` decisions) and at what distance from the nearest barrier it now sits.
 //!
 //! ## Only switches that hold budget are traced
 //!
 //! A switch handed a budget of 0 places no blue node, so its whole subtree stays
-//! red: at `i = 0` every table holds `Y_B(ℓ, 0) = ∞` (a leaf's blue row starts at
-//! `∞`, the first child stage sets its blue column 0 to `∞`, and later stages never
-//! go blue at `i = 0`), so the leaf rule (`budget > 0`) and the internal rule
-//! (`Y_B < Y_R`) both pick red, and the only red split of 0 is `j = 0` — by
-//! induction nothing below turns blue. The trace therefore starts from an all-red
-//! coloring and visits a child only when its share is positive. At every depth the
-//! visited switches root disjoint subtrees whose shares sum to at most `i`, so a
-//! trace of `i` blue nodes runs at most `1 + i·h(T)` color steps instead of `n`
-//! (31 of 4,095 on `BT(4096)` at `k = 16`), and its work list never holds more
-//! than `max(1, i)` entries.
+//! red: at `i = 0` every switch's blue potential is `Y_B(ℓ, 0) = ∞` (a leaf's blue
+//! row starts at `∞`, the first child stage sets its blue column 0 to `∞`, and
+//! later stages never go blue at `i = 0`), so the leaf rule (`budget > 0`) and the
+//! internal rule (`X < Y_R`, where `X = min(∞, Y_R) = Y_R`) both pick red, and the
+//! only red split of 0 is `j = 0` — by induction nothing below turns blue. The
+//! trace therefore starts from an all-red coloring and visits a child only when
+//! its share is positive. At every depth the visited switches root disjoint
+//! subtrees whose shares sum to at most `i`, so a trace of `i` blue nodes runs at
+//! most `1 + i·h(T)` color steps instead of `n` (31 of 4,095 on `BT(4096)` at
+//! `k = 16`), and its work list never holds more than `max(1, i)` entries.
 
 use crate::node_dp::color_step;
 use crate::tables::{Color, GatherTables};

@@ -158,7 +158,7 @@ pub use brute::brute_force;
 pub use color::{soar_color, soar_color_exact};
 pub use gather::soar_gather;
 pub use node_dp::DpKernel;
-pub use solver::{solutions_for_all_budgets, solve, solve_with_tables, Solution};
+pub use solver::{solutions_for_all_budgets, solve, Solution};
 pub use strategies::Strategy;
 pub use tables::{Color, GatherTables, NodeTableView};
 pub use workspace::SolverWorkspace;

@@ -16,7 +16,7 @@
 //! SOAR-Color is per-switch too: [`color_step`] is its one rule, run by the
 //! centralized traceback and by the actors alike.
 //!
-//! ## The blue fold runs once per child stage
+//! ## The blue fold runs once per child stage, and is stored once
 //!
 //! A blue switch is the barrier of its children, so the blue half of the
 //! prefix recursion reads only each child's distance-1 row, and it depends on
@@ -30,12 +30,21 @@
 //!
 //! (`Z` is all `∞` at an unavailable switch.) [`fill_node`] therefore folds
 //! `Z` once per child stage, one arg-min per `i`, and writes that stage's blue
-//! split into every `ℓ` row of the split block; only the red half of the
-//! recursion is folded per row. The recursion adds `ρ(ℓ)` last, after the
-//! arg-min scans, where the paper's `Y_B^m(ℓ, i)` carries it from the first
-//! child on. The two orders are equal in exact arithmetic, and bit for bit
-//! whenever the sums are exact (dyadic rates with integer loads); otherwise
-//! they agree to rounding (`tests/kernel_identity.rs` checks both).
+//! split row once, ahead of the stage's `n_l` red split rows (the layout
+//! [`block_lens`](crate::tables::block_lens) states); only the red half of
+//! the recursion is folded per row. An unavailable switch writes 0 into its
+//! blue rows, so a refill after an availability flip equals a fresh fill. The
+//! recursion adds `ρ(ℓ)` last, after the arg-min scans, where the paper's
+//! `Y_B^m(ℓ, i)` carries it from the first child on. The two orders are equal
+//! in exact arithmetic, and bit for bit whenever the sums are exact (dyadic
+//! rates with integer loads); otherwise they agree to rounding
+//! (`tests/kernel_identity.rs` checks both).
+//!
+//! `Y_B` itself is never stored: the final stage folds it into
+//! `X = (Z + ρ(ℓ)).min(Y_R)`, and [`color_step`] reads the blue-vs-red
+//! decision back as `X < Y_R` (at a leaf, as `ρ(ℓ) ≤ Y_R`), which is the
+//! comparison of the unstored value bit for bit (see the
+//! [`tables`](crate::tables) module docs).
 //!
 //! ## Hot-path shape
 //!
@@ -77,8 +86,8 @@ pub enum DpKernel {
 }
 
 /// Reusable buffers for the per-child prefix recursion: the red stages
-/// `Y_R^m` (one cell per `(ℓ, i)`), the blue stages `Z^m` and the current
-/// stage's blue splits (one entry per `i`).
+/// `Y_R^m` (one cell per `(ℓ, i)`) and the blue stages `Z^m` (one entry per
+/// `i`).
 ///
 /// One scratch serves any number of consecutive [`fill_node`] calls; buffers only
 /// grow (doubling), so a warm scratch performs no allocation. The buffers are
@@ -95,7 +104,6 @@ pub struct DpScratch {
     cur_red: Vec<f64>,
     prev_z: Vec<f64>,
     cur_z: Vec<f64>,
-    blue_splits: Vec<u32>,
     /// `(i, j)` split candidates evaluated and pruned since the last take.
     tally: SplitTally,
 }
@@ -122,7 +130,6 @@ impl DpScratch {
             + grow(&mut self.cur_red, cells, INF)
             + grow(&mut self.prev_z, n_i, INF)
             + grow(&mut self.cur_z, n_i, INF)
-            + grow(&mut self.blue_splits, n_i, 0)
     }
 
     /// Returns the split candidates evaluated since the last call and zeroes
@@ -144,7 +151,6 @@ impl DpScratch {
             + self.prev_z.capacity()
             + self.cur_z.capacity())
             * 8
-            + self.blue_splits.capacity() * 4
     }
 }
 
@@ -168,14 +174,13 @@ fn effective_width(row: &[f64]) -> usize {
 
 /// Mutable destination slices for one node's table, borrowed from the
 /// [`GatherTables`](crate::tables::GatherTables) arena (or from a switch
-/// actor's own buffers). All slices are `n_l · n_i` cells, row-major in `ℓ`,
-/// except `splits` which is `(C(v) - 1) · n_l · n_i · 2`, where `n_i` is the
-/// node's own column count.
+/// actor's own buffers), each as long as
+/// [`block_lens`](crate::tables::block_lens) states for the node's own column
+/// count `n_i`: `x` and `y_red` row-major in `ℓ`, `splits` one block per
+/// child stage `m ≥ 2`.
 pub struct NodeTableMut<'a> {
     /// `X_v` destination.
     pub x: &'a mut [f64],
-    /// `Y_v(·, ·, B)` destination.
-    pub y_blue: &'a mut [f64],
     /// `Y_v(·, ·, R)` destination.
     pub y_red: &'a mut [f64],
     /// Split-decision destination (empty for nodes with fewer than two children).
@@ -228,11 +233,7 @@ fn fill_leaf(out: NodeTableMut<'_>, path_rho: &[f64], load: u64, available: bool
         let blue = if available { rho } else { INF };
         let row = l * n_i;
         let x_row = &mut out.x[row..row + n_i];
-        let yb_row = &mut out.y_blue[row..row + n_i];
-        let yr_row = &mut out.y_red[row..row + n_i];
-        yr_row.fill(red);
-        yb_row[0] = INF;
-        yb_row[1..].fill(blue);
+        out.y_red[row..row + n_i].fill(red);
         x_row[0] = red;
         x_row[1..].fill(red.min(blue));
     }
@@ -242,10 +243,9 @@ fn fill_leaf(out: NodeTableMut<'_>, path_rho: &[f64], load: u64, available: bool
 /// prefix recursion, recording the arg-min splits (`mCost`) along the way.
 ///
 /// The blue half folds `Z^m` once per child stage — one arg-min per `i`, whose
-/// split is written into every `ℓ` row of the stage's split block — and the red
-/// half folds `Y_R^m` once per `(stage, ℓ)` row. The final stage writes
-/// `Y_B(ℓ, i) = Z^{C(v)}(i) + ρ(ℓ)` and `X = min(Y_B, Y_R)` (see the
-/// [module docs](self)).
+/// split goes into the stage's blue split row — and the red half folds
+/// `Y_R^m` once per `(stage, ℓ)` row. The final stage writes `Y_R` and
+/// `X = (Z^{C(v)} + ρ(ℓ)).min(Y_R)` (see the [module docs](self)).
 #[allow(clippy::too_many_arguments)]
 fn fill_internal<'c>(
     out: NodeTableMut<'_>,
@@ -267,10 +267,8 @@ fn fill_internal<'c>(
         cur_red,
         prev_z,
         cur_z,
-        blue_splits,
         tally,
     } = scratch;
-    let blue_splits = &mut blue_splits[..n_i];
 
     for m_index in 0..n_children {
         let cx = children_x
@@ -298,9 +296,8 @@ fn fill_internal<'c>(
                 z[1..=w].copy_from_slice(&d1_row[..w]);
                 z[w + 1..].fill(d1_row[c_w - 1]);
             } else {
-                // Z stays ∞ and every blue split 0 through the last stage.
+                // Z stays ∞ through the last stage.
                 z[1..].fill(INF);
-                blue_splits.fill(0);
             }
             let cur_red = &mut cur_red[..cells];
             for (l, &rho) in path_rho.iter().enumerate() {
@@ -316,7 +313,11 @@ fn fill_internal<'c>(
                 cr_row[c_w..].fill(child_row[c_w - 1] + red_base);
             }
         } else {
-            let m = m_index + 1; // the paper's 1-based child index
+            // This stage's split block, one of the C(v) − 1 that `out.splits`
+            // holds: the blue row, then the n_l red rows.
+            let stage = out.splits.len() / (n_children - 1);
+            let split_block = &mut out.splits[(m_index - 1) * stage..m_index * stage];
+            let (blue_splits, red_splits) = split_block.split_at_mut(n_i);
             if available {
                 fold_blue(
                     kernel,
@@ -327,19 +328,19 @@ fn fill_internal<'c>(
                     tally,
                 );
                 std::mem::swap(prev_z, cur_z);
+            } else {
+                blue_splits.fill(0);
             }
             let prev_red = &prev_red[..cells];
             let cur_red = &mut cur_red[..cells];
-            let split_block = &mut out.splits[(m - 2) * cells * 2..(m - 1) * cells * 2];
             for l in 0..n_l {
-                let row = l * n_i;
+                let row = l * n_i..(l + 1) * n_i;
                 fold_red_row(
                     kernel,
-                    &prev_red[row..row + n_i],
+                    &prev_red[row.clone()],
                     &cx[(l + 1) * c_w..(l + 2) * c_w],
-                    &mut cur_red[row..row + n_i],
-                    blue_splits,
-                    &mut split_block[row * 2..(row + n_i) * 2],
+                    &mut cur_red[row.clone()],
+                    &mut red_splits[row],
                     tally,
                 );
             }
@@ -347,20 +348,13 @@ fn fill_internal<'c>(
         std::mem::swap(prev_red, cur_red);
     }
 
-    // Final stage: Y_B = Z^{C(v)} + ρ(ℓ), Y_R = Y_R^{C(v)}, X_v = min(Y_B, Y_R).
+    // Final stage: Y_R = Y_R^{C(v)}, X_v = min(Z^{C(v)} + ρ(ℓ), Y_R).
     let z = &prev_z[..n_i];
+    out.y_red.copy_from_slice(&prev_red[..cells]);
     for (l, &rho) in path_rho.iter().enumerate() {
         let row = l * n_i..(l + 1) * n_i;
-        let cells = out.x[row.clone()]
-            .iter_mut()
-            .zip(&mut out.y_blue[row.clone()])
-            .zip(&mut out.y_red[row.clone()])
-            .zip(z.iter().zip(&prev_red[row]));
-        for (((x, yb), yr), (&z, &red)) in cells {
-            let blue = z + rho;
-            *yb = blue;
-            *yr = red;
-            *x = blue.min(red);
+        for ((x, &z), &red) in out.x[row.clone()].iter_mut().zip(z).zip(&out.y_red[row]) {
+            *x = (z + rho).min(red);
         }
     }
     grew
@@ -395,27 +389,18 @@ fn fold_blue(
 }
 
 /// One red row of stage `m ≥ 2`: `cr[i] = min_{0 ≤ j ≤ i} pr[i − j] +
-/// child[j]`. Writes the row's `(blue, red)` split pairs, taking the blue
-/// split of column `i` from the stage's `blue_splits`.
+/// child[j]`, with the first strict arg-min in `splits[i]`.
 fn fold_red_row(
     kernel: DpKernel,
     pr_row: &[f64],
     child_row: &[f64],
     cr_row: &mut [f64],
-    blue_splits: &[u32],
-    split_row: &mut [u32],
+    splits: &mut [u32],
     tally: &mut SplitTally,
 ) {
     let e = effective_width(child_row);
-    for (i, (cr, pair)) in cr_row
-        .iter_mut()
-        .zip(split_row.chunks_exact_mut(2))
-        .enumerate()
-    {
-        let (best, best_j) = argmin(kernel, pr_row, child_row, i, i, e, tally);
-        *cr = best;
-        pair[0] = blue_splits[i];
-        pair[1] = best_j;
+    for (i, (cr, split)) in cr_row.iter_mut().zip(splits).enumerate() {
+        (*cr, *split) = argmin(kernel, pr_row, child_row, i, i, e, tally);
     }
 }
 
@@ -501,12 +486,15 @@ fn argmin_pruned(p: &[f64], c: &[f64], i: usize, hi: usize, e: usize) -> (f64, u
 /// `child_l` from its barrier. Allocates nothing.
 ///
 /// * A leaf goes blue when it has budget, is `available`, and aggregating
-///   does not cost more than forwarding its own workers (Alg. 4 colors any
-///   budgeted leaf; the extra guard only matters for zero-load leaves).
-/// * An internal switch goes blue when `Y(ℓ, i, B) < Y(ℓ, i, R)`, then replays
-///   the recorded splits: stage `m` tells how many blue nodes go to `c_m`,
-///   the rest stays with the prefix `c_1 .. c_{m-1}` (and with `v` itself,
-///   which takes one of them when blue).
+///   does not cost more than forwarding its own workers: `ρ(ℓ) ≤ Y(ℓ, i, R)`
+///   (Alg. 4 colors any budgeted leaf; the extra guard only matters for
+///   zero-load leaves).
+/// * An internal switch goes blue when `X(ℓ, i) < Y(ℓ, i, R)`, which is
+///   `Y(ℓ, i, B) < Y(ℓ, i, R)` bit for bit since `X = min(Y_B, Y_R)` (see the
+///   [`tables`](crate::tables) module docs). It then replays the recorded
+///   splits: stage `m` tells how many blue nodes go to `c_m`, the rest stays
+///   with the prefix `c_1 .. c_{m-1}` (and with `v` itself, which takes one
+///   of them when blue).
 ///
 /// Reads at `budget` past the table's last column return that column: the
 /// value, color and split the uncapped table holds there.
@@ -519,11 +507,11 @@ pub fn color_step(
     budget: usize,
     mut assign: impl FnMut(usize, usize, usize),
 ) -> Color {
-    let y = |color| table.y(l, budget, color);
+    let red = table.y_red(l, budget);
     let blue = if n_children == 0 {
-        budget > 0 && available && y(Color::Blue) <= y(Color::Red)
+        budget > 0 && available && table.rho_up(l) <= red
     } else {
-        y(Color::Blue) < y(Color::Red)
+        table.x(l, budget) < red
     };
     let color = if blue { Color::Blue } else { Color::Red };
     if n_children == 0 {
@@ -549,6 +537,7 @@ pub fn color_step(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tables::block_lens;
 
     /// One switch's table in owned buffers, filled by [`fill_node`] with the
     /// production kernel and read through a [`NodeTableView`].
@@ -556,7 +545,6 @@ mod tests {
         n_i: usize,
         rho: Vec<f64>,
         x: Vec<f64>,
-        y_blue: Vec<f64>,
         y_red: Vec<f64>,
         splits: Vec<u32>,
     }
@@ -569,19 +557,17 @@ mod tests {
             n_i: usize,
             children: &[Vec<f64>],
         ) -> Self {
-            let cells = rho.len() * n_i;
+            let (cells, split_len) = block_lens(rho.len(), n_i, children.len());
             let mut table = OwnedTable {
                 n_i,
                 rho: rho.to_vec(),
                 x: vec![0.0; cells],
-                y_blue: vec![0.0; cells],
                 y_red: vec![0.0; cells],
-                splits: vec![0; children.len().saturating_sub(1) * cells * 2],
+                splits: vec![0; split_len],
             };
             fill_node(
                 NodeTableMut {
                     x: &mut table.x,
-                    y_blue: &mut table.y_blue,
                     y_red: &mut table.y_red,
                     splits: &mut table.splits,
                 },
@@ -598,14 +584,7 @@ mod tests {
         }
 
         fn view(&self) -> NodeTableView<'_> {
-            NodeTableView::new(
-                self.n_i,
-                &self.rho,
-                &self.x,
-                &self.y_blue,
-                &self.y_red,
-                &self.splits,
-            )
+            NodeTableView::new(self.n_i, &self.rho, &self.x, &self.y_red, &self.splits)
         }
     }
 
@@ -631,13 +610,12 @@ mod tests {
         assert_eq!(table.x(1, 1), 1.0);
         assert_eq!(table.x(2, 0), 6.0);
         assert_eq!(table.x(2, 2), 2.0);
-        assert_eq!(table.y(2, 1, Color::Red), 6.0);
-        assert_eq!(table.y(2, 1, Color::Blue), 2.0);
+        assert_eq!(table.y_red(2, 1), 6.0);
 
         let owned = OwnedTable::fill(&[0.0, 1.0], 3, false, 3, &[]);
         let unavailable = owned.view();
         assert_eq!(unavailable.x(1, 2), 3.0);
-        assert_eq!(unavailable.y(1, 2, Color::Blue), INF);
+        assert_eq!(unavailable.y_red(1, 2), 3.0);
     }
 
     #[test]
@@ -706,17 +684,15 @@ mod tests {
         let mut scratch = DpScratch::new();
         let n_l = 4;
         let n_i = k + 1;
-        let cells = n_l * n_i;
+        let (cells, split_len) = block_lens(n_l, n_i, 3);
         let mut runs = Vec::new();
         for round in 0..3 {
             let mut x = vec![0.0; cells];
-            let mut yb = vec![0.0; cells];
             let mut yr = vec![0.0; cells];
-            let mut splits = vec![0u32; 2 * cells * 2];
+            let mut splits = vec![0u32; split_len];
             let grew = fill_node(
                 NodeTableMut {
                     x: &mut x,
-                    y_blue: &mut yb,
                     y_red: &mut yr,
                     splits: &mut splits,
                 },
@@ -734,15 +710,14 @@ mod tests {
             } else {
                 assert_eq!(grew, 0, "warm scratch must not allocate");
             }
-            runs.push((x, yb, yr, splits));
+            runs.push((x, yr, splits));
         }
         // Every reuse round is bit-identical to the first and to the pruned fill.
         assert_eq!(runs[0], runs[1]);
         assert_eq!(runs[1], runs[2]);
         assert_eq!(runs[0].0, reference.x);
-        assert_eq!(runs[0].1, reference.y_blue);
-        assert_eq!(runs[0].2, reference.y_red);
-        assert_eq!(runs[0].3, reference.splits);
-        assert!(scratch.memory_bytes() >= 2 * cells * 8 + 2 * n_i * 8 + n_i * 4);
+        assert_eq!(runs[0].1, reference.y_red);
+        assert_eq!(runs[0].2, reference.splits);
+        assert!(scratch.memory_bytes() >= 2 * cells * 8 + 2 * n_i * 8);
     }
 }

@@ -5,8 +5,7 @@
 //! for callers that want to reuse the DP tables (e.g. to trace colorings for several
 //! budgets out of a single gather pass, as done by the scaling experiments).
 
-use crate::color::{soar_color, soar_color_exact};
-use crate::gather::soar_gather;
+use crate::color::soar_color_exact;
 use crate::tables::GatherTables;
 use soar_reduce::{cost, Coloring};
 use soar_topology::Tree;
@@ -73,22 +72,6 @@ pub fn solve(tree: &Tree, k: usize) -> Solution {
     crate::workspace::with_thread_workspace(|ws| ws.solve(tree, k))
 }
 
-/// Solves the instance and also returns the gather tables, so callers can extract
-/// colorings for *every* budget `i ≤ k` without re-running the DP.
-pub fn solve_with_tables(tree: &Tree, k: usize) -> (Solution, GatherTables) {
-    let tables = soar_gather(tree, k);
-    let (coloring, cost) = soar_color(tree, &tables);
-    (
-        Solution {
-            blue_used: coloring.n_blue(),
-            cost,
-            coloring,
-            budget: k,
-        },
-        tables,
-    )
-}
-
 /// Given tables computed for budget `k`, extracts the optimal solution for every budget
 /// `i = 0 ..= k` (the "cost-vs-k curve" used by Figs. 6, 8 and 10).
 ///
@@ -126,8 +109,10 @@ pub fn solutions_for_all_budgets(tree: &Tree, tables: &GatherTables) -> Vec<Solu
 /// The "at most `i`" cost curve from gathered tables: entry `i` is the prefix
 /// minimum of `optimum_with_exactly` over `0 ..= i` together with the exact blue
 /// count attaining it. The single home of the strict-improvement epsilon shared by
-/// [`solutions_for_all_budgets`] and the budget sweeps of [`crate::api`].
-pub(crate) fn prefix_min_curve(tables: &GatherTables) -> Vec<(f64, usize)> {
+/// [`solutions_for_all_budgets`], the budget sweeps of [`crate::api`] and every
+/// other "at most `k`" curve, so a sweep's entry at `k` has the bits of a solve
+/// at `k` ([`GatherTables::optimum`] applies the same rule).
+pub fn prefix_min_curve(tables: &GatherTables) -> Vec<(f64, usize)> {
     let mut curve = Vec::with_capacity(tables.k + 1);
     let (mut best, mut best_j) = (f64::INFINITY, 0usize);
     for i in 0..=tables.k {
@@ -144,6 +129,7 @@ pub(crate) fn prefix_min_curve(tables: &GatherTables) -> Vec<(f64, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gather::soar_gather;
     use soar_topology::builders;
 
     fn fig2_tree() -> Tree {
@@ -191,7 +177,7 @@ mod tests {
     #[test]
     fn all_budget_curve_is_monotone_and_matches_individual_solves() {
         let tree = fig2_tree();
-        let (_, tables) = solve_with_tables(&tree, 7);
+        let tables = soar_gather(&tree, 7);
         let curve = solutions_for_all_budgets(&tree, &tables);
         assert_eq!(curve.len(), 8);
         let mut prev = f64::INFINITY;

@@ -6,16 +6,33 @@
 //! * `X_v(ℓ, i)` — the minimum potential `π_v(ℓ, U)` over all sets `U` of `i` blue
 //!   nodes inside the subtree `T_v`, where `ℓ` is the hop distance from `v` to its
 //!   closest blue ancestor (or to the destination `d`);
-//! * `Y_v^{C(v)}(ℓ, i, B)` / `Y_v^{C(v)}(ℓ, i, R)` — the same minimum conditioned on
-//!   the color of `v` itself (blue / red), i.e. the final stage of the per-child
-//!   prefix recursion (`X_v = min(Y_B, Y_R)`);
-//! * the **split decisions**: for every child index `m ≥ 2` and every `(ℓ, i, color)`,
-//!   how many of the `i` blue nodes the optimal partition hands to the subtree of the
-//!   `m`-th child (the `arg min` of the paper's `mCost`, recorded so that SOAR-Color
-//!   can trace the optimum without recomputing it).
+//! * `Y_v^{C(v)}(ℓ, i, R)` — the same minimum conditioned on `v` itself being
+//!   red, the final stage of the per-child prefix recursion;
+//! * the **split decisions**: for every child index `m ≥ 2`, how many of the `i`
+//!   blue nodes the optimal partition hands to the subtree of the `m`-th child
+//!   (the `arg min` of the paper's `mCost`, recorded so that SOAR-Color can trace
+//!   the optimum without recomputing it) — one row per `i` when `v` is blue, and
+//!   one per `(ℓ, i)` when it is red.
 //!
 //! The parameter ranges are `ℓ ∈ {0, ..., D(v) + 1}` (up to the distance from `v` to
 //! the destination) and `i ∈ {0, ..., k}`.
+//!
+//! ## What is not stored: `Y_B`
+//!
+//! SOAR-Color (Alg. 4) reads the blue-conditioned potential `Y_B` only to
+//! compare it with `Y_R`, and the tables answer that comparison without it:
+//!
+//! * at an internal switch the fill writes `X = Y_B.min(Y_R)`, so
+//!   `Y_B < Y_R` holds exactly when `X < Y_R` (if `Y_B < Y_R`, `X` is `Y_B`;
+//!   otherwise `X` is `Y_R`, or a value equal to it);
+//! * at a leaf `Y_B(ℓ, i ≥ 1)` is `ρ(ℓ)` when the switch is available, which
+//!   the ρ block already holds.
+//!
+//! Both are the same f64 comparisons the stored `Y_B` would give, so the
+//! colorings are unchanged bit for bit. A blue switch is the barrier of its
+//! children, so its splits do not depend on `ℓ` (see the
+//! [`node_dp`](crate::node_dp) module docs) and each child stage stores its
+//! blue split row once.
 //!
 //! ## Table widths: `min(k, s_v) + 1` columns per node
 //!
@@ -44,11 +61,13 @@
 //! ## Storage: one arena per gather pass
 //!
 //! [`GatherTables`] does **not** hold one heap object per switch. All per-switch
-//! tables live in five flat arenas (`X`, `Y_B`, `Y_R`, the ρ prefix sums, and the
+//! tables live in four flat arenas (`X`, `Y_R`, the ρ prefix sums, and the
 //! split decisions), with per-node offsets precomputed from the tree shape by
-//! `GatherTables::reset`, each block sized `(D(v) + 2) · w_v`. Nodes are laid
-//! out **grouped by depth** (shallowest level first), which gives the gather
-//! pass two properties for free:
+//! `GatherTables::reset`. [`block_lens`] states every node's block lengths:
+//! `(D(v) + 2) · w_v` cells of `X` and of `Y_R`, and per child stage `m ≥ 2`
+//! one `(D(v) + 3) · w_v` split block, the blue row followed by the `D(v) + 2`
+//! red rows. Nodes are laid out **grouped by depth** (shallowest level first),
+//! which gives the gather pass two properties for free:
 //!
 //! * a node's children always live *after* the node's own level in the arena, so
 //!   one `split_at_mut` per level yields disjoint mutable output blocks and shared
@@ -78,12 +97,15 @@ pub enum Color {
     Red,
 }
 
-#[inline]
-fn color_slot(color: Color) -> usize {
-    match color {
-        Color::Blue => 0,
-        Color::Red => 1,
-    }
+/// The lengths of one node's blocks for a table of `n_l` rows and `n_i`
+/// columns at a switch with `n_children` children: `(cells, split_len)`.
+/// `X` and `Y_R` hold `cells` values each; the splits hold, for every child
+/// stage `m ≥ 2`, the blue split row (`n_i` entries) followed by the `n_l`
+/// red split rows. The arena, a switch actor and any other owner of a table
+/// size its buffers with this one function.
+pub fn block_lens(n_l: usize, n_i: usize, n_children: usize) -> (usize, usize) {
+    let stage = (n_l + 1) * n_i;
+    (n_l * n_i, n_children.saturating_sub(1) * stage)
 }
 
 /// A borrowed view of one switch's DP table: a block of the [`GatherTables`]
@@ -98,7 +120,6 @@ pub struct NodeTableView<'a> {
     /// Number of stored `i` columns: `min(k, s_v) + 1`.
     pub n_i: usize,
     x: &'a [f64],
-    y_blue: &'a [f64],
     y_red: &'a [f64],
     rho: &'a [f64],
     splits: &'a [u32],
@@ -106,39 +127,33 @@ pub struct NodeTableView<'a> {
 
 impl<'a> NodeTableView<'a> {
     /// Views one node's table with `n_i` columns and one row per entry of
-    /// `rho` (its ρ prefix sums): `x`, `y_blue` and `y_red` hold
-    /// `rho.len() · n_i` cells each, row-major in `ℓ`, and `splits` holds the
-    /// recorded splits of children `c_2 ..= c_C`, `2 · rho.len() · n_i` per
-    /// child, as [`fill_node`](crate::node_dp::fill_node) writes them.
+    /// `rho` (its ρ prefix sums): `x` and `y_red` hold `rho.len() · n_i`
+    /// cells each, row-major in `ℓ`, and `splits` holds the split blocks of
+    /// children `c_2 ..= c_C` laid out as [`block_lens`] states, as
+    /// [`fill_node`](crate::node_dp::fill_node) writes them.
     #[inline]
     pub fn new(
         n_i: usize,
         rho: &'a [f64],
         x: &'a [f64],
-        y_blue: &'a [f64],
         y_red: &'a [f64],
         splits: &'a [u32],
     ) -> Self {
         let n_l = rho.len();
         let cells = n_l * n_i;
         assert!(
-            n_l >= 1
-                && n_i >= 1
-                && x.len() == cells
-                && y_blue.len() == cells
-                && y_red.len() == cells,
+            n_l >= 1 && n_i >= 1 && x.len() == cells && y_red.len() == cells,
             "a table of {n_l} rows and {n_i} columns needs {cells} cells per array"
         );
         debug_assert_eq!(
-            splits.len() % (2 * cells),
+            splits.len() % ((n_l + 1) * n_i),
             0,
-            "split blocks are 2 · cells long"
+            "split blocks are (n_l + 1) · n_i long"
         );
         NodeTableView {
             n_l,
             n_i,
             x,
-            y_blue,
             y_red,
             rho,
             splits,
@@ -157,31 +172,29 @@ impl<'a> NodeTableView<'a> {
         self.x[self.idx(l, i)]
     }
 
-    /// Final-stage `Y_v(ℓ, i, color)`.
+    /// Final-stage `Y_v(ℓ, i, R)`.
     #[inline]
-    pub fn y(&self, l: usize, i: usize, color: Color) -> f64 {
-        let idx = self.idx(l, i);
-        match color {
-            Color::Blue => self.y_blue[idx],
-            Color::Red => self.y_red[idx],
-        }
+    pub fn y_red(&self, l: usize, i: usize) -> f64 {
+        self.y_red[self.idx(l, i)]
     }
 
-    /// The recorded split for child `c_m` (`m ≥ 2`).
+    /// The recorded split for child `c_m` (`m ≥ 2`) when `v` has the given
+    /// color. A blue switch's split does not depend on `ℓ`.
     #[inline]
     pub fn split(&self, m: usize, l: usize, i: usize, color: Color) -> u32 {
         debug_assert!(m >= 2, "splits are only recorded for children m >= 2");
-        let base = (m - 2) * self.n_l * self.n_i * 2;
-        self.splits[base + self.idx(l, i) * 2 + color_slot(color)]
+        debug_assert!(l < self.n_l, "l = {l} out of range {}", self.n_l);
+        let row = match color {
+            Color::Blue => 0,
+            Color::Red => l + 1,
+        };
+        let stage = (m - 2) * (self.n_l + 1);
+        self.splits[(stage + row) * self.n_i + i.min(self.n_i - 1)]
     }
 
     /// Number of children with recorded splits (`C(v) - 1` for internal nodes).
     pub fn n_split_children(&self) -> usize {
-        if self.n_l * self.n_i == 0 {
-            0
-        } else {
-            self.splits.len() / (self.n_l * self.n_i * 2)
-        }
+        self.splits.len() / ((self.n_l + 1) * self.n_i)
     }
 
     /// `ρ(v, Aᵉ_v)` — the summed transmission time of the first `ℓ` up-links above `v`.
@@ -196,17 +209,12 @@ impl<'a> NodeTableView<'a> {
         self.x
     }
 
-    /// The stored `Y_v(·, ·, B)`, flat and row-major in `ℓ`.
-    pub fn y_blue_slice(&self) -> &'a [f64] {
-        self.y_blue
-    }
-
     /// The stored `Y_v(·, ·, R)`, flat and row-major in `ℓ`.
     pub fn y_red_slice(&self) -> &'a [f64] {
         self.y_red
     }
 
-    /// The stored split decisions, flat in `(m, ℓ, i, color)` order.
+    /// The stored split decisions, flat in the order [`block_lens`] states.
     pub fn splits_slice(&self) -> &'a [u32] {
         self.splits
     }
@@ -241,13 +249,13 @@ pub struct GatherTables {
     /// Columns of node `v`'s table: `min(k, s_v) + 1`, where `s_v` is the
     /// number of switches in `v`'s subtree.
     pub(crate) n_i: Vec<u32>,
-    /// Offset (in cells) of node `v`'s block inside `x` / `y_blue` / `y_red`.
+    /// Offset (in cells) of node `v`'s block inside `x` / `y_red`.
     pub(crate) cell_off: Vec<usize>,
     /// Offset of node `v`'s ρ prefix block inside `rho` (length `n_l[v]`).
     pub(crate) rho_off: Vec<usize>,
     /// Offset (in `u32`s) of node `v`'s split block inside `splits`.
     pub(crate) split_off: Vec<usize>,
-    /// Length (in `u32`s) of node `v`'s split block: `(C(v) - 1) · cells · 2`.
+    /// Length (in `u32`s) of node `v`'s split block (see [`block_lens`]).
     pub(crate) split_len: Vec<usize>,
     // ---- level structure (levels laid out shallowest first) ----
     /// Node ids sorted by `(depth, id)` — the arena order.
@@ -260,7 +268,6 @@ pub struct GatherTables {
     pub(crate) level_split_end: Vec<usize>,
     // ---- arenas ----
     pub(crate) x: Vec<f64>,
-    pub(crate) y_blue: Vec<f64>,
     pub(crate) y_red: Vec<f64>,
     pub(crate) rho: Vec<f64>,
     pub(crate) splits: Vec<u32>,
@@ -355,7 +362,7 @@ impl GatherTables {
                 self.rho_off[v] = rho_cells;
                 self.split_off[v] = split_cells;
                 self.split_len[v] = block.split_len;
-                cells += block.cells();
+                cells += block.cells;
                 rho_cells += block.n_l;
                 split_cells += block.split_len;
             }
@@ -364,7 +371,6 @@ impl GatherTables {
         }
 
         grew += fit(&mut self.x, cells, 0.0);
-        grew += fit(&mut self.y_blue, cells, 0.0);
         grew += fit(&mut self.y_red, cells, 0.0);
         grew += fit(&mut self.rho, rho_cells, 0.0);
         grew += fit(&mut self.splits, split_cells, 0);
@@ -408,7 +414,6 @@ impl GatherTables {
             n_i,
             &self.rho[self.rho_off[v]..self.rho_off[v] + n_l],
             &self.x[off..off + cells],
-            &self.y_blue[off..off + cells],
             &self.y_red[off..off + cells],
             &self.splits[self.split_off[v]..self.split_off[v] + self.split_len[v]],
         )
@@ -419,10 +424,10 @@ impl GatherTables {
         self.node(v).x(l, i)
     }
 
-    /// Shorthand for the final-stage `Y_v(ℓ, i, color)` (clamped to the node's
+    /// Shorthand for the final-stage `Y_v(ℓ, i, R)` (clamped to the node's
     /// last column).
-    pub fn y(&self, v: NodeId, l: usize, i: usize, color: Color) -> f64 {
-        self.node(v).y(l, i, color)
+    pub fn y_red(&self, v: NodeId, l: usize, i: usize) -> f64 {
+        self.node(v).y_red(l, i)
     }
 
     /// The optimal utilization achievable with **exactly** the given number of blue
@@ -482,7 +487,7 @@ impl GatherTables {
         let (mut cells, mut rho_cells, mut split_cells) = (0, 0, 0);
         for (v, &s) in sizes.iter().enumerate() {
             let block = NodeBlock::of(tree, v, s as usize, k);
-            cells += block.cells();
+            cells += block.cells;
             rho_cells += block.n_l;
             split_cells += block.split_len;
         }
@@ -494,8 +499,7 @@ impl GatherTables {
     /// the shrink-on-idle policy of
     /// [`SolverWorkspace`](crate::workspace::SolverWorkspace).
     pub(crate) fn capacity_bytes(&self) -> usize {
-        (self.x.capacity() + self.y_blue.capacity() + self.y_red.capacity() + self.rho.capacity())
-            * 8
+        (self.x.capacity() + self.y_red.capacity() + self.rho.capacity()) * 8
             + self.splits.capacity() * 4
     }
 
@@ -533,7 +537,6 @@ impl GatherTables {
             };
         }
         trim!(self.x);
-        trim!(self.y_blue);
         trim!(self.y_red);
         trim!(self.rho);
         trim!(self.splits);
@@ -551,15 +554,16 @@ impl GatherTables {
     }
 }
 
-/// One node's blocks in the arenas at budget `k`: the single statement of
-/// the layout, which [`GatherTables::reset`] places and
-/// [`GatherTables::layout_bytes`] only sums.
+/// One node's blocks in the arenas at budget `k`, which
+/// [`GatherTables::reset`] places and [`GatherTables::layout_bytes`] only sums.
 struct NodeBlock {
     /// Rows `ℓ ∈ 0..=dist_to_dest(v)`, each with one ρ entry.
     n_l: usize,
     /// Columns `min(k, s_v) + 1`.
     n_i: usize,
-    /// Split points: two per cell for every child after the first.
+    /// Cells in each of the `X` and `Y_R` arenas.
+    cells: usize,
+    /// Split points (see [`block_lens`]).
     split_len: usize,
 }
 
@@ -567,16 +571,13 @@ impl NodeBlock {
     fn of(tree: &Tree, v: NodeId, subtree_size: usize, k: usize) -> Self {
         let n_l = tree.dist_to_dest(v) + 1;
         let n_i = subtree_size.min(k) + 1;
+        let (cells, split_len) = block_lens(n_l, n_i, tree.n_children(v));
         NodeBlock {
             n_l,
             n_i,
-            split_len: tree.n_children(v).saturating_sub(1) * n_l * n_i * 2,
+            cells,
+            split_len,
         }
-    }
-
-    /// Cells in each of the `X`, `Y_blue` and `Y_red` arenas.
-    fn cells(&self) -> usize {
-        self.n_l * self.n_i
     }
 }
 
@@ -591,10 +592,10 @@ fn subtree_sizes(tree: &Tree, sizes: &mut [u32]) {
     }
 }
 
-/// Heap bytes of arenas with `cells` cells in each of `X`, `Y_blue` and
-/// `Y_red`, `rho_cells` ρ entries and `split_cells` split points.
+/// Heap bytes of arenas with `cells` cells in each of `X` and `Y_R`,
+/// `rho_cells` ρ entries and `split_cells` split points.
 fn arena_bytes(cells: usize, rho_cells: usize, split_cells: usize) -> usize {
-    (3 * cells + rho_cells) * 8 + split_cells * 4
+    (2 * cells + rho_cells) * 8 + split_cells * 4
 }
 
 #[cfg(test)]
@@ -664,6 +665,9 @@ mod tests {
         assert_eq!(GatherTables::new(bt, 16).table_cells(), 223_232);
         let uniform: usize = bt.node_ids().map(|v| (bt.dist_to_dest(v) + 1) * 17).sum();
         assert_eq!(uniform, 835_584);
+        // Its arenas: X and Y_R, the ρ blocks and one split block per child
+        // stage, laid out as `block_lens` states.
+        assert_eq!(GatherTables::layout_bytes(bt, 16), 4_711_356);
     }
 
     #[test]

@@ -706,7 +706,7 @@ mod tests {
 
     #[test]
     fn idle_workspace_shrinks_after_many_small_passes() {
-        let big = builders::complete_binary_tree_bt(1024);
+        let big = builders::complete_binary_tree_bt(2048);
         let small = fig2_tree();
         let mut ws = SolverWorkspace::new();
         let _ = ws.gather(&big, 16);

@@ -9,11 +9,13 @@
 //! tests pin that claim across adversarial shapes — small and large budgets,
 //! degenerate paths and stars, random trees with random loads / rates /
 //! availability — by comparing whole [`GatherTables`] for equality, which
-//! covers every `X` row, every `Y` row, and every recorded arg-min split.
+//! covers every `X` row, every `Y_R` row, and every recorded arg-min split.
 //!
-//! The kernels fold the blue half of the recursion once per child stage and
-//! add `ρ(ℓ)` last; a short reference of the paper's order, which carries
-//! `ρ(ℓ)` from the first child and folds every `ℓ` row, pins that reordering.
+//! The kernels fold the blue half of the recursion once per child stage,
+//! store its splits once per stage and add `ρ(ℓ)` last; a short reference of
+//! the paper's order, which carries `ρ(ℓ)` from the first child, folds every
+//! `ℓ` row and keeps `Y_B`, pins that reordering, and pins SOAR-Color's
+//! reading of the unstored `Y_B` from `X < Y_R` (from `ρ(ℓ) ≤ Y_R` at a leaf).
 //! Each pass's split candidates are counted exactly: evaluated plus pruned is
 //! the closed-form candidate count of the unpruned search.
 
@@ -23,7 +25,7 @@ use common::{randomize, shapes};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use soar_core::node_dp::{color_step, fill_node, DpScratch, NodeTableMut};
-use soar_core::tables::INF;
+use soar_core::tables::{block_lens, INF};
 use soar_core::workspace::SolverWorkspace;
 use soar_core::{brute_force, Color, DpKernel, GatherTables, NodeTableView};
 use soar_reduce::Coloring;
@@ -42,21 +44,13 @@ struct UniformTable {
     k: usize,
     rho: Vec<f64>,
     x: Vec<f64>,
-    y_blue: Vec<f64>,
     y_red: Vec<f64>,
     splits: Vec<u32>,
 }
 
 impl UniformTable {
     fn view(&self) -> NodeTableView<'_> {
-        NodeTableView::new(
-            self.k + 1,
-            &self.rho,
-            &self.x,
-            &self.y_blue,
-            &self.y_red,
-            &self.splits,
-        )
+        NodeTableView::new(self.k + 1, &self.rho, &self.x, &self.y_red, &self.splits)
     }
 }
 
@@ -69,19 +63,17 @@ fn uniform_tables(tree: &Tree, k: usize, kernel: DpKernel) -> Vec<UniformTable> 
     for v in tree.post_order() {
         let children = tree.children(v);
         let rho = tree.path_rho(v);
-        let cells = rho.len() * (k + 1);
+        let (cells, split_len) = block_lens(rho.len(), k + 1, children.len());
         let mut table = UniformTable {
             k,
             x: vec![0.0; cells],
-            y_blue: vec![0.0; cells],
             y_red: vec![0.0; cells],
-            splits: vec![0; children.len().saturating_sub(1) * cells * 2],
+            splits: vec![0; split_len],
             rho,
         };
         fill_node(
             NodeTableMut {
                 x: &mut table.x,
-                y_blue: &mut table.y_blue,
                 y_red: &mut table.y_red,
                 splits: &mut table.splits,
             },
@@ -101,7 +93,7 @@ fn uniform_tables(tree: &Tree, k: usize, kernel: DpKernel) -> Vec<UniformTable> 
     tables.into_iter().map(Option::unwrap).collect()
 }
 
-/// Asserts that every `X`, `Y` and split read of the capped arena, at every
+/// Asserts that every `X`, `Y_R` and split read of the capped arena, at every
 /// `i ≤ k`, is bitwise the uniform table's — which at `i > s_v` also pins the
 /// plateau the clamped reads rely on.
 fn assert_capped_matches_uniform(tree: &Tree, capped: &GatherTables, uniform: &[UniformTable]) {
@@ -114,9 +106,9 @@ fn assert_capped_matches_uniform(tree: &Tree, capped: &GatherTables, uniform: &[
             for i in 0..=k {
                 let at = format!("node {v}, l = {l}, i = {i}, k = {k}");
                 assert_eq!(view.x(l, i).to_bits(), full.x(l, i).to_bits(), "X at {at}");
+                let (a, b) = (view.y_red(l, i), full.y_red(l, i));
+                assert_eq!(a.to_bits(), b.to_bits(), "Y_R at {at}");
                 for color in [Color::Blue, Color::Red] {
-                    let (a, b) = (view.y(l, i, color), full.y(l, i, color));
-                    assert_eq!(a.to_bits(), b.to_bits(), "Y {color:?} at {at}");
                     for m in 2..=tree.n_children(v) {
                         assert_eq!(
                             view.split(m, l, i, color),
@@ -304,12 +296,23 @@ fn incremental_updates_preserve_kernel_identity() {
     }
 }
 
+/// One switch's table at uniform `k + 1` columns in the paper's summation
+/// order, with what the solver does not store: `Y_B`, and the blue split of
+/// every `ℓ` row.
+struct PaperTable {
+    x: Vec<f64>,
+    y_blue: Vec<f64>,
+    y_red: Vec<f64>,
+    /// `(blue, red)` split of stage `m ≥ 2` at cell `(ℓ, i)`, stage-major.
+    splits: Vec<(u32, u32)>,
+}
+
 /// The uniform `k + 1`-column tables in the paper's summation order: the blue
 /// prefix `Y_B^m(ℓ, ·)` picks up `ρ(ℓ)` at the first child, and the blue
 /// fold, arg-min scan included, runs once per `ℓ` row.
-fn rho_first_tables(tree: &Tree, k: usize) -> Vec<UniformTable> {
+fn rho_first_tables(tree: &Tree, k: usize) -> Vec<PaperTable> {
     let n_i = k + 1;
-    let mut tables: Vec<Option<UniformTable>> = (0..tree.n_switches()).map(|_| None).collect();
+    let mut tables: Vec<Option<PaperTable>> = (0..tree.n_switches()).map(|_| None).collect();
     for v in tree.post_order() {
         let (rho, children) = (tree.path_rho(v), tree.children(v));
         let (n_l, load, available) = (rho.len(), tree.load(v) as f64, tree.available(v));
@@ -320,7 +323,7 @@ fn rho_first_tables(tree: &Tree, k: usize) -> Vec<UniformTable> {
                 *y = rho[c / n_i];
             }
         }
-        let mut splits = vec![0u32; children.len().saturating_sub(1) * n_l * n_i * 2];
+        let mut splits = vec![(0, 0); children.len().saturating_sub(1) * n_l * n_i];
         for (m, &c) in children.iter().enumerate() {
             let cx = &tables[c].as_ref().unwrap().x;
             let (pb, pr) = (yb.clone(), yr.clone());
@@ -348,14 +351,11 @@ fn rho_first_tables(tree: &Tree, k: usize) -> Vec<UniformTable> {
                     }
                 }
                 (yb[cell], yr[cell]) = (blue.0, red.0);
-                let at = ((m - 1) * n_l * n_i + cell) * 2;
-                (splits[at], splits[at + 1]) = (blue.1, red.1);
+                splits[(m - 1) * n_l * n_i + cell] = (blue.1, red.1);
             }
         }
         let x = yb.iter().zip(&yr).map(|(b, r)| b.min(*r)).collect();
-        tables[v] = Some(UniformTable {
-            k,
-            rho,
+        tables[v] = Some(PaperTable {
             x,
             y_blue: yb,
             y_red: yr,
@@ -363,6 +363,54 @@ fn rho_first_tables(tree: &Tree, k: usize) -> Vec<UniformTable> {
         });
     }
     tables.into_iter().map(Option::unwrap).collect()
+}
+
+/// Asserts that `table`, switch `v`'s table as the solver stores it, reads
+/// bitwise like the paper-order `reference` at every `(ℓ, i ≤ k)`: `X`,
+/// `Y_R`, every red split, the blue split (stored once per stage) in every
+/// `ℓ` row, and the color [`color_step`] picks — which must be the
+/// reference's `Y_B < Y_R` at an internal switch and `Y_B ≤ Y_R` at a leaf.
+fn assert_matches_paper_order(
+    tree: &Tree,
+    v: NodeId,
+    table: NodeTableView<'_>,
+    reference: &PaperTable,
+    k: usize,
+    at: &str,
+) {
+    let (n_i, n_children) = (k + 1, tree.n_children(v));
+    for l in 0..table.n_l {
+        for i in 0..=k {
+            let (cell, at) = (l * n_i + i, format!("switch {v}, l = {l}, i = {i}, {at}"));
+            let (yb, yr) = (reference.y_blue[cell], reference.y_red[cell]);
+            assert_eq!(
+                table.x(l, i).to_bits(),
+                reference.x[cell].to_bits(),
+                "X at {at}"
+            );
+            assert_eq!(table.y_red(l, i).to_bits(), yr.to_bits(), "Y_R at {at}");
+            for m in 2..=n_children {
+                let (blue, red) = reference.splits[(m - 2) * table.n_l * n_i + cell];
+                assert_eq!(
+                    table.split(m, l, i, Color::Blue),
+                    blue,
+                    "blue split {m} at {at}"
+                );
+                assert_eq!(
+                    table.split(m, l, i, Color::Red),
+                    red,
+                    "red split {m} at {at}"
+                );
+            }
+            let color = color_step(table, n_children, tree.available(v), l, i, |_, _, _| {});
+            let blue = if n_children == 0 { yb <= yr } else { yb < yr };
+            assert_eq!(
+                color == Color::Blue,
+                blue,
+                "color at {at}: Y_B {yb}, Y_R {yr}"
+            );
+        }
+    }
 }
 
 #[test]
@@ -379,21 +427,16 @@ fn z_fold_equals_the_rho_first_fold_bit_for_bit_under_dyadic_rates() {
             tree.apply_rates(&scheme);
             for k in [1usize, 4, 16] {
                 let reference = rho_first_tables(&tree, k);
+                let at = format!("{name}, {}, k = {k}", scheme.label());
                 for kernel in [DpKernel::Scalar, DpKernel::Pruned] {
-                    assert_capped_matches_uniform(
-                        &tree,
-                        &gather_with(&tree, k, kernel),
-                        &reference,
-                    );
+                    let capped = gather_with(&tree, k, kernel);
+                    for v in tree.node_ids() {
+                        assert_matches_paper_order(&tree, v, capped.node(v), &reference[v], k, &at);
+                    }
                 }
                 let uniform = uniform_tables(&tree, k, DpKernel::Pruned);
-                for (v, (new, old)) in uniform.iter().zip(&reference).enumerate() {
-                    assert_eq!(
-                        (&new.x, &new.y_blue, &new.y_red, &new.splits),
-                        (&old.x, &old.y_blue, &old.y_red, &old.splits),
-                        "{name}, {}, k = {k}, switch {v}",
-                        scheme.label()
-                    );
+                for v in tree.node_ids() {
+                    assert_matches_paper_order(&tree, v, uniform[v].view(), &reference[v], k, &at);
                 }
             }
         }
@@ -401,10 +444,60 @@ fn z_fold_equals_the_rho_first_fold_bit_for_bit_under_dyadic_rates() {
 }
 
 #[test]
+fn color_steps_read_the_unstored_blue_potential_exactly_on_every_shape() {
+    // Every shape as `shapes` randomizes it (dyadic rates, integer loads,
+    // unavailable switches, zero-load leaves), up to a budget that covers
+    // the whole tree: at every (v, ℓ, i) the color step's decision is the
+    // reference's Y_B-vs-Y_R comparison and every blue split is the one the
+    // reference records in each ℓ row.
+    let mut rng = StdRng::seed_from_u64(0xB1E);
+    for (name, tree) in shapes(&mut rng) {
+        let n = tree.n_switches();
+        for k in [1usize, 4, 16, n] {
+            let reference = rho_first_tables(&tree, k);
+            let tables = gather_with(&tree, k, DpKernel::Pruned);
+            let at = format!("{name}, k = {k}");
+            for v in tree.node_ids() {
+                assert_matches_paper_order(&tree, v, tables.node(v), &reference[v], k, &at);
+            }
+        }
+    }
+}
+
+#[test]
+fn fig5_blue_potentials_match_the_paper_order_reference() {
+    // The Fig. 2 / Fig. 5 instance: leaf loads 2, 6, 5, 4, unit rates, Λ = S.
+    let mut tree = builders::complete_binary_tree(7);
+    for (leaf, load) in [(3, 2), (4, 6), (5, 5), (6, 4)] {
+        tree.set_load(leaf, load);
+    }
+    let k = 2;
+    let reference = rho_first_tables(&tree, k);
+    let y_blue = |v: NodeId, l: usize, i: usize| reference[v].y_blue[l * (k + 1) + i];
+    // Fig. 5(a): Y(ℓ=1, i=1, B) = 9 and Y(ℓ=2, i=1, B) = 10 at the left
+    // internal switch, 10 and 11 at the right one.
+    assert_eq!(y_blue(1, 1, 1), 9.0);
+    assert_eq!(y_blue(1, 2, 1), 10.0);
+    assert_eq!(y_blue(2, 1, 1), 10.0);
+    assert_eq!(y_blue(2, 2, 1), 11.0);
+    // A leaf's blue row: ∞ without a blue node, ρ(ℓ) = ℓ with one.
+    for l in 0..4 {
+        assert_eq!(y_blue(3, l, 0), INF);
+        for i in 1..=k {
+            assert_eq!(y_blue(3, l, i), l as f64);
+        }
+    }
+    let tables = gather_with(&tree, k, DpKernel::Pruned);
+    for v in tree.node_ids() {
+        assert_matches_paper_order(&tree, v, tables.node(v), &reference[v], k, "fig. 5");
+    }
+}
+
+#[test]
 fn z_fold_agrees_with_the_rho_first_fold_under_non_dyadic_rates() {
     // With rates that round, the two summation orders may differ in the last
     // bits (and pick another of two near-tied splits), but no further: every
-    // X and Y agrees within 1e-12 relative, and the optimum is still brute
+    // X and Y_R agrees within 1e-12 relative, and the optimum is still brute
     // force's.
     let close = |a: f64, b: f64| a == b || (a - b).abs() <= 1e-12 * a.abs().max(b.abs());
     let mut rng = StdRng::seed_from_u64(0x0DD);
@@ -421,11 +514,7 @@ fn z_fold_agrees_with_the_rho_first_fold_under_non_dyadic_rates() {
                 rho_first_tables(&tree, k),
             );
             for (v, (a, b)) in new.iter().zip(&old).enumerate() {
-                for (what, xs, ys) in [
-                    ("X", &a.x, &b.x),
-                    ("Y_B", &a.y_blue, &b.y_blue),
-                    ("Y_R", &a.y_red, &b.y_red),
-                ] {
+                for (what, xs, ys) in [("X", &a.x, &b.x), ("Y_R", &a.y_red, &b.y_red)] {
                     for (c, (&x, &y)) in xs.iter().zip(ys).enumerate() {
                         assert!(
                             close(x, y),

@@ -46,8 +46,9 @@ fn one_million_switch_tree_solves_warm_end_to_end() {
     assert_eq!(warm, cold, "warm replay must be bit-identical");
     assert_eq!(ws.last_alloc_events(), 0, "warm 1M solve must not allocate");
 
-    // Capped widths store X and both Y arenas for every node and still
-    // undercut the compressed layout, which elided Y for ≤1-child nodes.
+    // Capped widths store X and Y_R for every node, and one blue split row
+    // per child stage, and undercut the compressed layout, which elided Y
+    // for ≤1-child nodes but kept both Y arenas and two splits per cell.
     let bytes = ws.tables().memory_bytes();
     let compressed = compressed_layout_bytes(&tree, 16);
     assert!(

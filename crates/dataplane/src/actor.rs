@@ -27,7 +27,7 @@
 use crate::wire::Frame;
 use bytes::Bytes;
 use soar_core::node_dp::{color_step, fill_node, DpKernel, DpScratch, NodeTableMut};
-use soar_core::tables::{Color, NodeTableView};
+use soar_core::tables::{block_lens, Color, NodeTableView};
 use soar_topology::{NodeId, Tree};
 
 /// Where an emitted frame should be delivered.
@@ -101,7 +101,6 @@ pub struct SwitchActor {
 struct OwnedTable {
     n_i: usize,
     x: Vec<f64>,
-    y_blue: Vec<f64>,
     y_red: Vec<f64>,
     splits: Vec<u32>,
 }
@@ -151,9 +150,9 @@ impl SwitchActor {
 
     /// The gathered DP table (available once all children reported).
     pub fn table(&self) -> Option<NodeTableView<'_>> {
-        self.table.as_ref().map(|t| {
-            NodeTableView::new(t.n_i, &self.path_rho, &t.x, &t.y_blue, &t.y_red, &t.splits)
-        })
+        self.table
+            .as_ref()
+            .map(|t| NodeTableView::new(t.n_i, &self.path_rho, &t.x, &t.y_red, &t.splits))
     }
 
     /// Kicks off the gather phase; leaves emit their `X` table immediately, internal
@@ -216,18 +215,16 @@ impl SwitchActor {
             .map(|x| (x.len() / (n_l + 1)).saturating_sub(1))
             .sum();
         let n_i = self.k.min(1 + below) + 1;
-        let cells = n_l * n_i;
+        let (cells, split_len) = block_lens(n_l, n_i, self.children.len());
         let mut table = OwnedTable {
             n_i,
             x: vec![0.0; cells],
-            y_blue: vec![0.0; cells],
             y_red: vec![0.0; cells],
-            splits: vec![0; self.children.len().saturating_sub(1) * cells * 2],
+            splits: vec![0; split_len],
         };
         fill_node(
             NodeTableMut {
                 x: &mut table.x,
-                y_blue: &mut table.y_blue,
                 y_red: &mut table.y_red,
                 splits: &mut table.splits,
             },

@@ -1,5 +1,5 @@
 //! Every switch actor's DP table is bit-identical to the centralized arena's
-//! block for the same switch: `X`, `Y_B`, `Y_R`, the recorded splits, the ρ
+//! block for the same switch: `X`, `Y_R`, the recorded splits, the ρ
 //! prefix sums and the `min(k, s_v) + 1` width. The gather phase runs through
 //! the actors' public entry points, frames encoded and decoded on every hop.
 
@@ -43,7 +43,7 @@ fn assert_actors_match_arena(name: &str, tree: &Tree, k: usize) {
     let bits = |s: &[f64]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     let dump = |t: NodeTableView<'_>| {
         let rho: Vec<f64> = (0..t.n_l).map(|l| t.rho_up(l)).collect();
-        let values = [t.x_slice(), t.y_blue_slice(), t.y_red_slice(), &rho].map(bits);
+        let values = [t.x_slice(), t.y_red_slice(), &rho].map(bits);
         (t.n_l, t.n_i, values, t.splits_slice().to_vec())
     };
     let tables = soar_gather(tree, k);
@@ -53,7 +53,7 @@ fn assert_actors_match_arena(name: &str, tree: &Tree, k: usize) {
         assert_eq!(
             dump(mine),
             dump(tables.node(v)),
-            "(n_l, n_i, [X, Y_B, Y_R, ρ], splits) of {name}, switch {v}, k = {k}"
+            "(n_l, n_i, [X, Y_R, ρ], splits) of {name}, switch {v}, k = {k}"
         );
     }
 }

@@ -737,7 +737,7 @@ fn drive_connection(
     // Register this connection's tenants, strictly ordered (each ack awaited
     // before the tenant is referenced).
     for &tenant in tenants {
-        let resp = client.call(&Request {
+        let register = Request {
             req_id: tenant,
             body: RequestBody::Register {
                 tenant,
@@ -745,9 +745,34 @@ fn drive_connection(
                 budget: config.budget,
                 seed: config.seed.wrapping_add(tenant),
             },
-        })?;
-        // A tenant the daemon already holds (from an earlier run) is as good
-        // as registered, as in `Link::register`.
+        };
+        let mut resp = client.call(&register)?;
+        // A tenant the daemon already holds (from an earlier run) has an
+        // evolved state. Without churn to send it is as good as registered,
+        // as in `Link::register`; a churn stream, though, starts from the
+        // freshly built shape, so the tenant is evicted and built afresh.
+        let duplicate = matches!(
+            resp.body,
+            ResponseBody::Error {
+                code: ErrorCode::DuplicateTenant,
+                ..
+            }
+        );
+        if batches > 0 && duplicate {
+            let evict = Request {
+                req_id: tenant,
+                body: RequestBody::Evict { tenant },
+            };
+            match client.call(&evict)?.body {
+                ResponseBody::Evicted { .. } => {}
+                other => {
+                    return Err(LoadtestError::Protocol(format!(
+                        "evict of tenant {tenant} answered {other:?}"
+                    )))
+                }
+            }
+            resp = client.call(&register)?;
+        }
         match resp.body {
             ResponseBody::Registered { .. }
             | ResponseBody::Error {

@@ -71,7 +71,8 @@ fn a_second_run_shuts_down_a_daemon_that_already_holds_its_tenants() {
     };
     run(&config).unwrap();
     // The same tenants again: each `Register` is answered `DuplicateTenant`,
-    // which counts as registered, so the run reaches its `Shutdown`.
+    // and since the run has churn to send, the tenant is evicted and
+    // registered afresh; the run reaches its `Shutdown`.
     let again = LoadtestConfig {
         shutdown: true,
         ..config
@@ -79,7 +80,67 @@ fn a_second_run_shuts_down_a_daemon_that_already_holds_its_tenants() {
     let report = run(&again).unwrap();
     assert_eq!(report.batches_sent, 8);
     let snap = handle.join();
-    assert_eq!((snap.registers, snap.resident_tenants), (4, 4));
+    assert_eq!((snap.registers, snap.resident_tenants), (8, 4));
+    assert_eq!(snap.evictions, 4);
+}
+
+#[test]
+fn a_second_churn_run_restarts_each_held_tenant_from_its_fresh_shape() {
+    // Each run's churn streams start from the freshly built shape. A tenant
+    // the first run left evolved is rebuilt before the second run churns
+    // it, so no event contradicts the tenant's state.
+    let handle = start(ServeConfig::default()).unwrap();
+    let config = LoadtestConfig {
+        addr: handle.addr(),
+        tenants: 2,
+        switches: 64,
+        budget: 4,
+        connections: 1,
+        events_per_batch: 10,
+        batches: 20,
+        solve_every: 4,
+        ..LoadtestConfig::default()
+    };
+    let first = run(&config).unwrap();
+    assert_eq!(first.errors, 0, "{first:?}");
+    let report = run(&LoadtestConfig {
+        shutdown: true,
+        ..config
+    })
+    .unwrap();
+    assert_eq!(report.errors, 0, "{report:?}");
+    assert_eq!(report.events_applied, first.events_applied);
+    let snap = handle.join();
+    // The daemon's only errors are the two `DuplicateTenant` answers.
+    assert_eq!(snap.errors, 2);
+    assert_eq!((snap.registers, snap.evictions), (4, 2));
+}
+
+#[test]
+fn a_run_without_churn_takes_a_held_tenant_as_registered() {
+    // Without batches nothing contradicts the tenant's state: the
+    // `DuplicateTenant` answer counts as registered and nothing is evicted.
+    let handle = start(ServeConfig::default()).unwrap();
+    let config = LoadtestConfig {
+        addr: handle.addr(),
+        tenants: 2,
+        switches: 64,
+        budget: 4,
+        connections: 1,
+        events_per_batch: 10,
+        batches: 6,
+        ..LoadtestConfig::default()
+    };
+    run(&config).unwrap();
+    let report = run(&LoadtestConfig {
+        batches: 0,
+        shutdown: true,
+        ..config
+    })
+    .unwrap();
+    assert_eq!((report.batches_sent, report.errors), (0, 0));
+    let snap = handle.join();
+    assert_eq!((snap.registers, snap.evictions), (2, 0));
 }
 
 #[test]

@@ -37,8 +37,8 @@
 //!
 //! * [`ChurnEvent::SwitchAvailability`] — a switch exhausts or regains its
 //!   in-network compute capacity. An exhausted switch degrades to
-//!   **forwarding-only**: the DP can no longer color it blue (its `Y_blue`
-//!   row is infinite), traffic still flows through it. Availability is an
+//!   **forwarding-only**: the DP can no longer color it blue (its
+//!   blue-conditioned potential is infinite), traffic still flows through it. Availability is an
 //!   input of the per-node table fill, so the event dirties just the switch's
 //!   root-to-leaf closure — as cheap as a leaf-load change.
 //! * [`ChurnEvent::LinkRateChange`] — the rate ω of a switch's up-link moves

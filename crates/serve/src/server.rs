@@ -71,6 +71,7 @@ use crate::wal::{self, SnapshotJob, TenantParams, TenantRecord, WalWriter};
 use crate::warm::{WarmSlot, WarmTables};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use soar_core::solver::prefix_min_curve;
 use soar_core::workspace::with_thread_workspace;
 use soar_dataplane::framing::{self, FramingError};
 use soar_online::{DynamicInstance, EpochSolve, OnlineError};
@@ -130,7 +131,7 @@ pub struct ServeConfig {
     pub obs_addr: Option<String>,
     /// Heap budget, in MiB, for the per-tenant warm DP tables that let a
     /// solve refill only what churn dirtied (see the `warm` module). A BT(4096)
-    /// tenant at budget 16 holds about 7 MiB. `0` solves every request cold.
+    /// tenant at budget 16 holds about 4.7 MiB. `0` solves every request cold.
     pub warm_tables_mb: u64,
 }
 
@@ -149,7 +150,7 @@ impl Default for ServeConfig {
             snapshot_every: 1024,
             write_deadline: Some(Duration::from_secs(5)),
             obs_addr: None,
-            // Room for about 72 warm BT(4096) tenants at budget 16.
+            // Room for about 109 warm BT(4096) tenants at budget 16.
             warm_tables_mb: 512,
         }
     }
@@ -1255,18 +1256,12 @@ fn process_tenant_work(shared: &Arc<Shared>, work: Work) {
                 let _sweep = soar_obs::span!("serve_sweep", tenant);
                 let sweep_started = Instant::now();
                 let (costs, cells, allocs) = with_thread_workspace(|ws| {
-                    // One gather at the largest budget serves every requested k:
-                    // the optimum at budget k is the running minimum of
-                    // X_r(1, i) over i ≤ k (the sweep identity from soar-core).
+                    // One gather at the largest budget serves every requested k,
+                    // read off the "at most k" curve a solve applies too.
                     ws.gather_auto(state.instance.tree(), kmax);
-                    let mut best = f64::INFINITY;
-                    let mut by_exact = vec![f64::INFINITY; kmax + 1];
-                    for (i, slot) in by_exact.iter_mut().enumerate() {
-                        best = best.min(ws.tables().optimum_with_exactly(i));
-                        *slot = best;
-                    }
+                    let curve = prefix_min_curve(ws.tables());
                     let costs: Vec<(u32, f64)> =
-                        budgets.iter().map(|&k| (k, by_exact[k as usize])).collect();
+                        budgets.iter().map(|&k| (k, curve[k as usize].0)).collect();
                     (
                         costs,
                         ws.last_cells_written() as u64,
@@ -1769,6 +1764,75 @@ mod tests {
         handle.shutdown();
         let snap = handle.join();
         assert!(snap.accepted_conns > CONNS, "{}", snap.accepted_conns);
+    }
+
+    #[test]
+    fn sweep_reads_the_budget_curve_a_solve_reads_after_non_dyadic_rate_churn() {
+        // Link rates that round: the exact-i optima can differ from each
+        // other in the last bits, where a running minimum and the solver's
+        // first-improvement rule part ways. Sweep must apply the solver's.
+        let (switches, budget) = (64u32, 8u32);
+        let handle = start(ServeConfig::default()).unwrap();
+        let mut client = Client::connect(&handle.addr()).unwrap();
+        let register = RequestBody::Register {
+            tenant: 3,
+            switches,
+            budget,
+            seed: 21,
+        };
+        client.call(&request(1, register)).unwrap();
+        let mut offline = build_tenant(switches, budget, 21);
+        let events: Vec<ChurnEvent> = (1..switches as usize)
+            .step_by(3)
+            .map(|switch| ChurnEvent::LinkRateChange {
+                switch,
+                rate: 1.0 / (1.0 + (switch % 7) as f64 * 0.3),
+            })
+            .collect();
+        for event in &events {
+            offline.apply(event).unwrap();
+        }
+        let churn = RequestBody::Churn {
+            tenant: 3,
+            seq: 1,
+            events,
+        };
+        let resp = client.call(&request(2, churn)).unwrap();
+        assert!(
+            matches!(resp.body, ResponseBody::ChurnApplied { .. }),
+            "{resp:?}"
+        );
+        let resp = client
+            .call(&request(3, RequestBody::Solve { tenant: 3 }))
+            .unwrap();
+        let ResponseBody::Solved(outcome) = &resp.body else {
+            panic!("{resp:?}");
+        };
+        let budgets: Vec<u32> = (0..=2 * budget).collect();
+        let sweep = RequestBody::Sweep {
+            tenant: 3,
+            budgets: budgets.clone(),
+        };
+        let resp = client.call(&request(4, sweep)).unwrap();
+        let ResponseBody::SweepResult { costs, .. } = &resp.body else {
+            panic!("{resp:?}");
+        };
+        assert_eq!(
+            costs[budget as usize].1.to_bits(),
+            outcome.cost.to_bits(),
+            "sweep at the tenant's budget vs its solve"
+        );
+        let ks: Vec<usize> = budgets.iter().map(|&k| k as usize).collect();
+        let reports = soar_core::sweep_budgets(&offline.snapshot(), &ks);
+        for (&(k, cost), report) in costs.iter().zip(&reports) {
+            assert_eq!(
+                cost.to_bits(),
+                report.solution.cost.to_bits(),
+                "sweep entry at k = {k} vs the offline sweep"
+            );
+        }
+        handle.shutdown();
+        handle.join();
     }
 
     #[test]

@@ -15,9 +15,9 @@ use soar_serve::server::{
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-/// BT(512) at budget 4: about 480 KB of warm tables, so a 1 MiB warm budget
+/// BT(640) at budget 4: about 432 KB of warm tables, so a 1 MiB warm budget
 /// holds two tenants and not three.
-const SWITCHES: u32 = 512;
+const SWITCHES: u32 = 640;
 const BUDGET: u32 = 4;
 const WARM_MB: u64 = 1;
 const MIB: u64 = 1 << 20;

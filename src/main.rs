@@ -1335,7 +1335,7 @@ dropped and counted in io_errors.
 A tenant's first solve keeps its DP tables warm, and later solves refill only
 the tables its churn dirtied (bit-identical to a full solve). --warm-tables-mb
 caps the heap all warm tables hold together (default 512 MiB; a BT(4096)
-tenant at budget 16 holds about 7 MiB; 0 solves everything cold). A solve that
+tenant at budget 16 holds about 4.7 MiB; 0 solves everything cold). A solve that
 finds no room runs cold on a shared per-thread workspace; nothing is evicted
 to make room. Evict and a budget change release a tenant's tables. Budget
 sweeps always run cold. The warm_hits, warm_misses, warm_evictions and warm_bytes metrics show
